@@ -41,10 +41,8 @@ from .gaussian import (
 )
 from .hafnian import (
     HafnianSizeError,
-    hafnian,
     hafnian_naive,
     hafnian_powertrace,
-    resolve_workers,
 )
 from .model import (
     ConfigError,
@@ -107,7 +105,6 @@ __all__ = [
     "enumerate_distribution",
     "estimate_scattering_time",
     "extend_matrix",
-    "hafnian",
     "hafnian_naive",
     "hafnian_powertrace",
     "load_config",
@@ -116,7 +113,6 @@ __all__ = [
     "mode_functions",
     "outcome_probability",
     "recommend_cutoff",
-    "resolve_workers",
     "sample",
     "squeeze_spectrum",
 ]

@@ -6,11 +6,16 @@ factors), ``covariance`` (Gaussian state), ``pdf`` / ``prob`` /
 ``sample`` (count statistics), ``haf`` (standalone hafnian evaluation),
 ``validate`` (invariant suite) and ``scatter-time``.
 
-Exit codes: 0 success, 1 a computation or validation failure, 2 a usage,
-schema, or missing-file problem.  Every output is accompanied by a run
-manifest (a ``.manifest.json`` sidecar for file outputs, stderr
-otherwise) recording the config digest, tool version, parameters, seed,
-thread cap and wall time.
+Count statistics come from the sampling module's Hermite recurrence,
+which fills every replicated hafnian of a lattice in one pass; ``haf``
+alone evaluates hafnians directly.
+
+Exit codes: 0 success, 1 a computation or validation failure (including
+a lattice above the sampling budget), 2 a usage, schema, or missing-file
+problem.  Every output is accompanied by a run manifest (a
+``.manifest.json`` sidecar for file outputs, stderr otherwise) recording
+the config digest, tool version, subcommand, parameters, seed and wall
+time.
 """
 
 from __future__ import annotations
@@ -25,12 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, bdg, blochmessiah, gaussian, model, pipeline, sampling
-from .hafnian import (
-    NAIVE_MAX_DIM,
-    hafnian_naive,
-    hafnian_powertrace,
-    resolve_workers,
-)
+from .hafnian import hafnian_naive, hafnian_powertrace
 
 __all__ = ["main", "RunManifest"]
 
@@ -48,7 +48,6 @@ class RunManifest:
     subcommand: str
     parameters: dict
     seed: int
-    thread_cap: int
     wall_time_s: float
 
 
@@ -119,7 +118,6 @@ def _emit(args, payload, *, digest, seed=-1, parameters=None, meta=None):
         subcommand=args.command,
         parameters=parameters or {},
         seed=seed,
-        thread_cap=resolve_workers(getattr(args, "workers", None)),
         wall_time_s=round(time.perf_counter() - args.start_time, 6),
     )
     manifest_text = _json_text(asdict(manifest))
@@ -234,10 +232,7 @@ def _distribution(args, cfg):
         cfg, tol_stability=args.tol_stability, tol_symmetry=args.tol_symmetry
     )
     dist = sampling.enumerate_distribution(
-        state,
-        args.cutoff,
-        workers=args.workers,
-        tol_imaginary=args.tol_imaginary,
+        state, args.cutoff, tol_imaginary=args.tol_imaginary
     )
     return state, dist
 
@@ -285,7 +280,7 @@ def _cmd_prob(args):
     )
     counts = _parse_counts(args.counts, cfg.m)
     value = sampling.outcome_probability(
-        state, counts, workers=args.workers, tol_imaginary=args.tol_imaginary
+        state, counts, tol_imaginary=args.tol_imaginary
     )
     return _emit(
         args,
@@ -331,23 +326,18 @@ def _cmd_sample(args):
 def _cmd_haf(args):
     mat, digest = _load_matrix_file(args.matrix)
     dim = mat.shape[0] if mat.ndim == 2 else 0
-    workers = args.workers
     lines = []
     if dim <= _AGREEMENT_MAX_DIM:
         naive = hafnian_naive(mat, tol_symmetry=args.tol_symmetry)
         if dim >= 2:
-            power = hafnian_powertrace(
-                mat, tol_symmetry=args.tol_symmetry, workers=workers
-            )
+            power = hafnian_powertrace(mat, tol_symmetry=args.tol_symmetry)
             delta = abs(complex(naive) - complex(power))
             lines.append(_format_complex(naive))
             lines.append("power-trace agreement: %.3e" % delta)
         else:
             lines.append(_format_complex(naive))
     else:
-        value = hafnian_powertrace(
-            mat, tol_symmetry=args.tol_symmetry, workers=workers
-        )
+        value = hafnian_powertrace(mat, tol_symmetry=args.tol_symmetry)
         lines.append(_format_complex(value))
         lines.append(
             "power-trace agreement: skipped (size %d above the naive "
@@ -443,10 +433,10 @@ def _validate_lines(cfg, args):
 
     cutoff = _validate_cutoff(state)
     if cutoff is None:
-        checks.append((True, "distribution checks skipped (hafnian budget too small for M=%d)" % dec.m))
+        checks.append((True, "distribution checks skipped (lattice budget too small for M=%d)" % dec.m))
         return checks
     dist = sampling.enumerate_distribution(
-        state, cutoff, workers=args.workers, tol_imaginary=args.tol_imaginary
+        state, cutoff, tol_imaginary=args.tol_imaginary
     )
     vacuum = dist.probability((0,) * dec.m)
     checks.append((True, "vacuum probability %r at cutoff %d" % (vacuum, cutoff)))
@@ -481,17 +471,13 @@ def _validate_lines(cfg, args):
 
 
 def _validate_cutoff(state):
-    from .hafnian import POWERTRACE_MAX_DIM
-    from .sampling import ENUMERATION_MAX_OUTCOMES, recommend_cutoff
-
-    m = state.m
-    k_haf = POWERTRACE_MAX_DIM // (2 * m)
-    if k_haf < 1:
+    """Recommended cutoff, capped by the lattice budget; None if even 1 is over."""
+    largest = 0
+    while (largest + 2) ** (2 * state.m) <= sampling.MAX_BOX_ENTRIES:
+        largest += 1
+    if largest < 1:
         return None
-    k_enum = 1
-    while (k_enum + 2) ** m <= ENUMERATION_MAX_OUTCOMES:
-        k_enum += 1
-    return max(1, min(recommend_cutoff(state), k_haf, k_enum))
+    return min(sampling.recommend_cutoff(state), largest)
 
 
 def _cmd_validate(args):
@@ -537,12 +523,6 @@ def _add_common(sub, *, config=True, tols=()):
     if config:
         sub.add_argument("--config", required=True, help="path to the JSON config")
     sub.add_argument("--out", help="write the payload to this file instead of stdout")
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread cap (default: HYBRID_SAMPLER_THREADS or 1)",
-    )
     defaults = {
         "stability": 1e-10,
         "reconstruction": 1e-9,

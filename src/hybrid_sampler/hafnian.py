@@ -9,63 +9,40 @@ Two independent routes are provided and cross-validated in the test suite:
 * :func:`hafnian_powertrace` uses the inclusion-exclusion formula over
   subsets of index pairs, with the per-subset term assembled from power
   traces of the pair-swapped submatrix.  Cost is ``O(2^n poly(n))`` which
-  handles desk-scale matrices up to 32 x 32.
+  handles desk-scale matrices up to 32 x 32.  Subset terms are evaluated
+  in fixed-size batches and reduced over a deterministic pairwise tree
+  with compensated accumulation.
 
-:func:`hafnian` dispatches between the two on size.
-
-The subset loop of the power-trace method can be partitioned across
-worker threads.  Every subset contribution is written to a fixed slot and
-the final reduction runs over a deterministic pairwise tree with
-compensated accumulation, so the result is bitwise identical for any
-worker count.  The default worker count is 1; the ``HYBRID_SAMPLER_THREADS``
-environment variable raises the cap.
+Count probabilities do not go through either route: the sampling module
+fills all replicated hafnians of a lattice with one Hermite recurrence.
+These routes serve the ``haf`` command and the tests.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
 
 __all__ = [
-    "hafnian",
     "hafnian_naive",
     "hafnian_powertrace",
     "HafnianSizeError",
-    "THREADS_ENV_VAR",
     "NAIVE_MAX_DIM",
     "POWERTRACE_MAX_DIM",
 ]
 
-THREADS_ENV_VAR = "HYBRID_SAMPLER_THREADS"
-
 NAIVE_MAX_DIM = 16
 POWERTRACE_MAX_DIM = 32
 
-# Subsets are processed in fixed-size batches so that the work split never
-# depends on how many workers consume the batches.
+# Subsets are processed in fixed-size batches, which bounds the size of the
+# batched submatrix arrays.
 _BATCH = 2048
 
 
 class HafnianSizeError(ValueError):
     """The input matrix exceeds the evaluation budget of the method."""
-
-
-def resolve_workers(workers=None):
-    """Return the effective worker count.
-
-    Explicit arguments win, then the ``HYBRID_SAMPLER_THREADS`` environment
-    variable, then the serial default of 1.
-    """
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def _checked_matrix(mat, tol_symmetry, max_dim, caller):
@@ -122,7 +99,7 @@ def _matching_sum(a, idx):
     return total
 
 
-def hafnian_powertrace(mat, *, tol_symmetry=1e-8, workers=None):
+def hafnian_powertrace(mat, *, tol_symmetry=1e-8):
     """Hafnian by the inclusion-exclusion power-trace formula.
 
     For each nonempty subset S of the n index pairs, the eigenvalues of
@@ -134,9 +111,6 @@ def hafnian_powertrace(mat, *, tol_symmetry=1e-8, workers=None):
         mat (array): even-dimensional complex symmetric matrix, at most
             32 x 32
         tol_symmetry (float): largest tolerated relative asymmetry
-        workers (int): thread count for the subset loop; defaults to the
-            ``HYBRID_SAMPLER_THREADS`` environment variable or 1.  The
-            result does not depend on it.
 
     Returns:
         complex: the hafnian
@@ -155,25 +129,13 @@ def hafnian_powertrace(mat, *, tol_symmetry=1e-8, workers=None):
         scale = 2.0 ** math.ceil(math.log2(peak))
         a = a / scale
 
-    tasks = []
-    offset = 0
+    terms = []
     for m in range(1, n + 1):
         combos = list(combinations(range(n), m))
         for start in range(0, len(combos), _BATCH):
-            block = combos[start : start + _BATCH]
-            tasks.append((m, block, offset + start))
-        offset += len(combos)
-    contributions = np.empty(offset, dtype=complex)
+            terms.append(_subset_batch(a, n, m, combos[start : start + _BATCH]))
 
-    nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(tasks) == 1:
-        for task in tasks:
-            _subset_batch(a, n, task, contributions)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(lambda t: _subset_batch(a, n, t, contributions), tasks))
-
-    value = _compensated_sum(contributions)
+    value = _compensated_sum(np.concatenate(terms))
     if scale != 1.0:
         value *= scale**n
     return value
@@ -190,9 +152,8 @@ def _power_sums_by_matmul(mats, n):
     return powers
 
 
-def _subset_batch(a, n, task, out):
-    """Evaluate one fixed batch of subsets and store the signed terms."""
-    m, block, start = task
+def _subset_batch(a, n, m, block):
+    """Signed terms of one fixed batch of m-pair subsets."""
     b = len(block)
     pairs = np.asarray(block)
     # Expand pair labels to matrix indices: pair p covers rows 2p, 2p + 1.
@@ -233,7 +194,7 @@ def _subset_batch(a, n, task, out):
             coeff[:, k * j :] += prev[:, : n + 1 - k * j] * powfactor[:, None]
 
     sign = -1.0 if (n - m) % 2 else 1.0
-    out[start : start + b] = sign * coeff[:, n]
+    return sign * coeff[:, n]
 
 
 def _compensated_sum(values):
@@ -252,17 +213,3 @@ def _compensated_sum(values):
         return total
     mid = n // 2
     return _compensated_sum(values[:mid]) + _compensated_sum(values[mid:])
-
-
-def hafnian(mat, *, tol_symmetry=1e-8, workers=None):
-    """Hafnian of an even-dimensional complex symmetric matrix.
-
-    Dispatches to the matching sum for matrices up to 8 x 8 and to the
-    power-trace method above that.
-    """
-    a = np.asarray(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("The input matrix is not square")
-    if a.shape[0] <= 8:
-        return hafnian_naive(a, tol_symmetry=tol_symmetry)
-    return hafnian_powertrace(a, tol_symmetry=tol_symmetry, workers=workers)

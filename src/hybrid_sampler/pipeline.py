@@ -52,7 +52,6 @@ def distribution(
     cutoff,
     *,
     state=None,
-    workers=None,
     tol_stability=1e-10,
     tol_symmetry=1e-8,
     tol_imaginary=1e-9,
@@ -63,7 +62,7 @@ def distribution(
             cfg, tol_stability=tol_stability, tol_symmetry=tol_symmetry
         )
     return sampling.enumerate_distribution(
-        state, cutoff, workers=workers, tol_imaginary=tol_imaginary
+        state, cutoff, tol_imaginary=tol_imaginary
     )
 
 

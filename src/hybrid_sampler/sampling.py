@@ -5,10 +5,20 @@ q_1..q_Mph is
 
     rho(N, q) = haf(C_ext) / (sqrt(det(1 + G)) * prod N_l! * prod q_nu!),
 
-with C_ext the base matrix replicated per counts.  This module evaluates
-single outcomes, enumerates the truncated lattice of all outcomes up to a
-per-mode cutoff, marginalizes, draws reproducible inverse-CDF samples,
-and checks samples against the enumerated distribution.
+with C_ext the base matrix replicated per counts: n_k copies of row k and
+n_k copies of row M + k.  Every such hafnian is a multidimensional
+Hermite value at zero, so one recurrence over a box of the 2M replication
+counts r yields all of them at once,
+
+    G(r + e_i) = sum_j C_ij sqrt(r_j) G(r - e_j) / sqrt(r_i + 1),
+
+with G(r) = haf(C repeated by r) / sqrt(r!) and rho(n) = G(n, n) /
+sqrt(det(1 + G)) (Miatto & Quesada, Quantum 4, 366 (2020)).  The lattice
+up to a per-mode cutoff reads the diagonal of the box [0, cutoff]^(2M); a
+single outcome n reads the far corner of the box [0, n] x [0, n].  Both
+boxes share one budget, MAX_BOX_ENTRIES.  The module also marginalizes,
+draws reproducible inverse-CDF samples, and checks samples against the
+enumerated distribution.
 """
 
 from __future__ import annotations
@@ -16,14 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
 
-from .gaussian import CountsVector, extend_matrix
-from .hafnian import POWERTRACE_MAX_DIM, hafnian, resolve_workers
+from .gaussian import CountsVector
 
 __all__ = [
     "ImaginaryResidualError",
@@ -36,10 +44,13 @@ __all__ = [
     "sample",
     "chi_square",
     "recommend_cutoff",
+    "MAX_BOX_ENTRIES",
 ]
 
-ENUMERATION_MAX_OUTCOMES = 10 ** 6
+# Largest recurrence box, in entries: 256 MB of complex128.
+MAX_BOX_ENTRIES = 2 ** 24
 
+_SYMMETRY_TOL = 1e-8
 _CLAMP_FLOOR = -1e-12
 _MASS_SLACK = 1e-9
 
@@ -127,13 +138,100 @@ def _as_counts(counts, m_a, m_ph):
     return vec
 
 
-def outcome_probability(state, counts, *, workers=None, tol_imaginary=1e-9):
+def _checked_base_matrix(state):
+    """The state's base matrix, checked symmetric and then symmetrized."""
+    c = np.asarray(state.c, dtype=complex)
+    residual = float(np.max(np.abs(c - c.T)))
+    scale = max(1.0, float(np.max(np.abs(c))))
+    if residual > _SYMMETRY_TOL * scale:
+        raise ValueError(
+            "base matrix is not symmetric: max |C - C^T| = %.3e" % residual
+        )
+    return 0.5 * (c + c.T)
+
+
+def _check_budget(entries, quantity, remedy):
+    """Refuse a recurrence box above MAX_BOX_ENTRIES before allocating it."""
+    if entries > MAX_BOX_ENTRIES:
+        raise ValueError(
+            "lattice budget exceeded: %s = %d box entries is above the "
+            "limit %d; %s" % (quantity, entries, MAX_BOX_ENTRIES, remedy)
+        )
+
+
+def _hermite_box(c, extents):
+    """G(r) = haf(C repeated by r) / sqrt(r!) for every r below ``extents``.
+
+    Axes are filled in order.  An entry whose last nonzero index lies on
+    axis i follows from the recurrence along axis i, which reads only
+    entries whose later axes are zero as well and so are already filled.
+    The arithmetic of each entry depends on r alone, not on the extents,
+    so every box containing r yields the same G(r) bit for bit.
+    """
+    g = np.zeros(extents, dtype=complex)
+    g.flat[0] = 1.0
+    roots = [np.sqrt(np.arange(1, e)) for e in extents]
+    for i, extent in enumerate(extents):
+        head = (slice(None),) * i
+        # The trailing Ellipsis keeps a fully indexed slice a writable view.
+        tail = (0,) * (len(extents) - i - 1) + (Ellipsis,)
+        # C_ij sqrt(r_j), laid along axis j of a slice over axes 0..i-1.
+        weights = [
+            (c[i, j] * roots[j]).reshape((-1,) + (1,) * (i - 1 - j))
+            for j in range(i)
+        ]
+        for k in range(1, extent):
+            out = g[head + (k,) + tail]
+            if k >= 2:
+                out += (c[i, i] * roots[i][k - 2]) * g[head + (k - 2,) + tail]
+            prev = g[head + (k - 1,) + tail]
+            for j, weight in enumerate(weights):
+                lead = (slice(None),) * j
+                out[lead + (slice(1, None),)] += (
+                    weight * prev[lead + (slice(None, -1),)]
+                )
+            out /= math.sqrt(k)
+    return g
+
+
+def _probabilities(state, values, outcomes, tol_imaginary):
+    """Python-float probabilities from box values, and the clamped count.
+
+    Each outcome's imaginary residual must stay within ``tol_imaginary``
+    of its weight (or 1e-12); negatives down to the roundoff floor are
+    snapped to zero, anything below it is refused.
+    """
+    weights = values * math.exp(-state.log_norm)
+    limits = np.maximum(tol_imaginary * np.abs(weights), 1e-12)
+    bad = np.flatnonzero(np.abs(weights.imag) > limits)
+    if bad.size:
+        i = bad[0]
+        raise ImaginaryResidualError(
+            "outcome %s has imaginary residual %.3e (limit %.3e); the "
+            "base matrix is not a valid state kernel"
+            % (outcomes[i], abs(weights[i].imag), limits[i])
+        )
+    real = weights.real
+    bad = np.flatnonzero(real < _CLAMP_FLOOR)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            "outcome %s has probability %.3e below the roundoff floor "
+            "%.1e; the state is invalid" % (outcomes[i], real[i], _CLAMP_FLOOR)
+        )
+    negative = real < 0
+    return np.where(negative, 0.0, real).tolist(), int(np.count_nonzero(negative))
+
+
+def outcome_probability(state, counts, *, tol_imaginary=1e-9):
     """Probability of one joint count outcome.
+
+    Runs the recurrence on the box [0, n] x [0, n], so the result equals
+    the enumerated lattice's entry for n bit for bit.
 
     Args:
         state (GaussianState): state built by the gaussian module
         counts: CountsVector or flat count sequence (atoms then photons)
-        workers: thread cap for the hafnian evaluation
         tol_imaginary (float): relative bound on the imaginary residual
 
     Returns:
@@ -142,95 +240,57 @@ def outcome_probability(state, counts, *, workers=None, tol_imaginary=1e-9):
     Raises:
         ImaginaryResidualError: imaginary part above tolerance, which
             signals an invalid base matrix.
-        HafnianSizeError: total counts exceed the hafnian size budget.
+        ValueError: the box prod (n_k + 1)^2 exceeds MAX_BOX_ENTRIES, or
+            the probability is below the roundoff floor.
     """
     counts = _as_counts(counts, state.m_a, state.m_ph)
-    ext = extend_matrix(state.c, counts)
-    value = hafnian(ext, workers=workers)
-    log_fact = sum(math.lgamma(c + 1) for c in counts.key())
-    weight = complex(value) * math.exp(-state.log_norm - log_fact)
-    limit = max(tol_imaginary * abs(weight), 1e-12)
-    if abs(weight.imag) > limit:
-        raise ImaginaryResidualError(
-            "outcome %s has imaginary residual %.3e (limit %.3e); the "
-            "base matrix is not a valid state kernel"
-            % (counts, abs(weight.imag), limit)
-        )
-    return weight.real
+    extents = tuple(n + 1 for n in counts.key()) * 2
+    _check_budget(math.prod(extents), "prod (n_k+1)^2", "lower the counts")
+    box = _hermite_box(_checked_base_matrix(state), extents)
+    (value,), _ = _probabilities(
+        state, box.reshape(-1)[-1:], [counts], tol_imaginary
+    )
+    return value
 
 
-def enumerate_distribution(state, cutoff, *, workers=None, tol_imaginary=1e-9):
+def enumerate_distribution(state, cutoff, *, tol_imaginary=1e-9):
     """Evaluate every outcome with all counts <= cutoff.
 
-    Outcomes are evaluated independently (optionally across threads) and
-    assembled in lexicographic order, so the result is deterministic for
-    any worker count.
+    One recurrence fills the box [0, cutoff]^(2M); the outcomes are its
+    diagonal, in lexicographic count order.
 
     Args:
         state (GaussianState): state built by the gaussian module
         cutoff (int): largest per-mode count, >= 0
-        workers: thread cap; resolved against HYBRID_SAMPLER_THREADS
         tol_imaginary (float): per-outcome imaginary residual bound
 
     Returns:
         OutcomeDistribution
 
     Raises:
-        ValueError: the outcome lattice or the largest extended matrix
-            exceeds the enumeration budget; the message names the limit.
+        ValueError: the box (cutoff + 1)^(2M) exceeds MAX_BOX_ENTRIES (the
+            message names the entry count and the limit), an outcome is
+            below the roundoff floor, or the captured mass exceeds 1.
     """
     cutoff = int(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     m = state.m
-    n_outcomes = (cutoff + 1) ** m
-    if n_outcomes > ENUMERATION_MAX_OUTCOMES:
-        raise ValueError(
-            "enumeration budget exceeded: (cutoff+1)^M = %d outcomes is "
-            "above the limit %d; lower the cutoff or the mode count"
-            % (n_outcomes, ENUMERATION_MAX_OUTCOMES)
-        )
-    max_dim = 2 * m * cutoff
-    if max_dim > POWERTRACE_MAX_DIM:
-        raise ValueError(
-            "hafnian budget exceeded: the largest extended matrix is "
-            "%d x %d but sizes above %d are not supported; lower the cutoff"
-            % (max_dim, max_dim, POWERTRACE_MAX_DIM)
-        )
-
-    keys = list(itertools.product(range(cutoff + 1), repeat=m))
-    workers = resolve_workers(workers)
-
-    def evaluate(key):
-        counts = CountsVector(atoms=key[: state.m_a], photons=key[state.m_a :])
-        # Inner hafnians stay single-threaded; parallelism lives at the
-        # outcome level where results are order-stable.
-        return outcome_probability(
-            state, counts, workers=1, tol_imaginary=tol_imaginary
-        )
-
-    if workers > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(evaluate, keys))
-    else:
-        raw = [evaluate(key) for key in keys]
-
-    probabilities = {}
-    clamped = 0
-    for key, value in zip(keys, raw):
-        if value < 0:
-            if value < _CLAMP_FLOOR:
-                raise ValueError(
-                    "outcome %s has probability %.3e below the roundoff "
-                    "floor %.1e; the state is invalid"
-                    % (key, value, _CLAMP_FLOOR)
-                )
-            value = 0.0
-            clamped += 1
-        counts = CountsVector(atoms=key[: state.m_a], photons=key[state.m_a :])
-        probabilities[counts] = value
-
-    captured = math.fsum(probabilities.values())
+    _check_budget(
+        (cutoff + 1) ** (2 * m),
+        "(cutoff+1)^(2M)",
+        "lower the cutoff or the mode count",
+    )
+    box = _hermite_box(_checked_base_matrix(state), (cutoff + 1,) * (2 * m))
+    side = (cutoff + 1) ** m
+    outcomes = [
+        CountsVector(atoms=key[: state.m_a], photons=key[state.m_a :])
+        for key in itertools.product(range(cutoff + 1), repeat=m)
+    ]
+    values, clamped = _probabilities(
+        state, box.reshape(side, side).diagonal(), outcomes, tol_imaginary
+    )
+    captured = math.fsum(values)
     if captured > 1.0 + _MASS_SLACK:
         raise ValueError(
             "captured mass %.12f exceeds 1 by more than %.1e; the state "
@@ -238,7 +298,7 @@ def enumerate_distribution(state, cutoff, *, workers=None, tol_imaginary=1e-9):
         )
     return OutcomeDistribution(
         cutoff=cutoff,
-        probabilities=probabilities,
+        probabilities=dict(zip(outcomes, values)),
         captured_mass=captured,
         fingerprint=state.fingerprint(),
         m_a=state.m_a,
@@ -291,8 +351,7 @@ def sample(dist, n_samples, seed):
     """Draw reproducible outcomes by inverse CDF over the lattice.
 
     The generator is counter-based (Philox, 64-bit key), so a fixed
-    (seed, dist) pair yields the same samples on every platform and
-    worker configuration.
+    (seed, dist) pair yields the same samples on every platform.
 
     Args:
         dist (OutcomeDistribution): enumerated distribution

@@ -144,7 +144,7 @@ def test_criterion_4_hafnian_oracle_equivalence():
     big = rng.normal(size=(20, 20))
     big = 0.5 * (big + big.T)
     start = time.perf_counter()
-    hafnian_powertrace(big, workers=1)
+    hafnian_powertrace(big)
     big_time = time.perf_counter() - start
 
     ok = (
@@ -217,14 +217,18 @@ def test_criterion_5_symplectic_decomposition_suite():
     )
 
 
-def test_criterion_6_normalization_and_moments():
-    """Captured-mass monotonicity and first-moment consistency."""
-    instances = [
+def criterion_6_instances():
+    return [
         ("squeezed", make_state(squeeze_blocks(1.0, 0.6), 0.0), 16),
         ("two-mode", make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0), 8),
         ("cold thermal", make_state(thermal_blocks(1.0), 0.5), 16),
         ("vacuum pair", make_state(two_mode_squeeze_blocks(1.0, 0.0), 0.0), 4),
     ]
+
+
+def test_criterion_6_normalization_and_moments():
+    """Captured-mass monotonicity and first-moment consistency."""
+    instances = criterion_6_instances()
     worst_moment = 0.0
     monotone = True
     tested = 0
@@ -253,24 +257,68 @@ def test_criterion_6_normalization_and_moments():
     )
 
 
-def test_criterion_7_sampler_statistics():
-    """Chi-square fit of 1e5 seeded draws and worker-count invariance."""
-    state = make_state(thermal_blocks(1.0), T_HALF)
-    dists = [
-        sampling.enumerate_distribution(state, 12, workers=w) for w in (1, 2, 8)
-    ]
-    values = [list(d.probabilities.values()) for d in dists]
-    bitwise = values[0] == values[1] == values[2]
+def wick_second_moments(state):
+    """<n_i n_j> = N_ii N_jj + |N_ij|^2 + |M_ij|^2 + delta_ij N_ii.
 
-    draws = [sampling.sample(d, 100_000, seed=1) for d in dists]
-    identical = draws[0] == draws[1] == draws[2]
+    N_ij = <c_i^dag c_j> is the transpose of the upper-left block of G and
+    M_ij = <c_i c_j> its lower-left block.
+    """
+    m = state.m
+    normal = state.g[:m, :m].T
+    anomalous = state.g[m:, :m]
+    occ = np.real(np.diag(normal))
+    return (
+        np.outer(occ, occ)
+        + np.abs(normal) ** 2
+        + np.abs(anomalous) ** 2
+        + np.diag(occ)
+    )
 
-    result = sampling.chi_square(dists[0], draws[0])
+
+def test_criterion_6_second_moments():
+    """<n_i n_j> from the lattice against Wick's theorem on G."""
+    rng = np.random.default_rng(606)
+    instances = [(name, state) for name, state, _ in criterion_6_instances()]
+    for index, (m_a, m_ph) in enumerate([(1, 1), (2, 1), (1, 2), (2, 0)]):
+        blocks = random_coupling_blocks(rng, m_a, m_ph, strength=0.2)
+        dec = bdg.bogoliubov_diagonalize(bdg.assemble_hamiltonian(blocks))
+        state = gaussian.covariance(dec, (0.5, 0.0, 0.2, 0.3)[index])
+        instances.append(("random M=%d" % state.m, state))
+    worst = 0.0
+    largest_cutoff = 0
+    for _, state in instances:
+        cutoff = 4
+        dist = sampling.enumerate_distribution(state, cutoff)
+        while dist.captured_mass <= 1.0 - 1e-12:
+            cutoff += 2
+            dist = sampling.enumerate_distribution(state, cutoff)
+        largest_cutoff = max(largest_cutoff, cutoff)
+        second = np.zeros((state.m, state.m))
+        for counts, value in dist.probabilities.items():
+            n = np.asarray(counts.key(), dtype=float)
+            second += value * np.outer(n, n)
+        worst = max(worst, float(np.max(np.abs(second - wick_second_moments(state)))))
     report(
-        bitwise and identical and result.passed,
+        worst < 1e-6,
+        "criterion 6, second moments against Wick's theorem",
+        "max |<n_i n_j> - Wick| = %.3e over %d states, cutoffs up to %d"
+        % (worst, len(instances), largest_cutoff),
+    )
+
+
+def test_criterion_7_sampler_statistics():
+    """Chi-square fit of 1e5 seeded draws and seed determinism."""
+    state = make_state(thermal_blocks(1.0), T_HALF)
+    dist = sampling.enumerate_distribution(state, 12)
+    draws = sampling.sample(dist, 100_000, seed=1)
+    identical = draws == sampling.sample(dist, 100_000, seed=1)
+
+    result = sampling.chi_square(dist, draws)
+    report(
+        identical and result.passed,
         "criterion 7, sampler statistics",
-        "chi-square p = %.4f over %d buckets, worker-invariant: %s"
-        % (result.p_value, result.n_buckets, bitwise and identical),
+        "chi-square p = %.4f over %d buckets, seed-deterministic: %s"
+        % (result.p_value, result.n_buckets, identical),
     )
 
 

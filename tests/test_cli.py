@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,12 @@ from hybrid_sampler import model, pipeline, sampling
 from hybrid_sampler.cli import main
 
 T_HALF = 1.0 / math.log(2.0)
+THERMAL_FILE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "configs", "thermal_one_mode.json"
+)
+MANIFEST_FIELDS = {
+    "config_digest", "version", "subcommand", "parameters", "seed", "wall_time_s"
+}
 
 THERMAL = {
     "mode": "direct_blocks",
@@ -99,6 +106,28 @@ class TestProb:
         assert manifest["subcommand"] == "prob"
         assert manifest["parameters"]["counts"] == [0]
         assert manifest["seed"] == -1
+        assert set(manifest) == MANIFEST_FIELDS
+
+    def test_large_count_within_budget(self, capsys):
+        """Count 17, a 34 x 34 replicated hafnian, is within the lattice budget."""
+        argv = ["prob", "--config", THERMAL_FILE, "--counts", "17"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert float(first) == pytest.approx(0.5**18, abs=1e-12)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_budget_violation_fails(self, tmp_path, capsys):
+        config = write_config(tmp_path, THERMAL)
+        assert main(["prob", "--config", config, "--counts", "5000"]) == 1
+        err = capsys.readouterr().err
+        assert "25010001 box entries" in err and "16777216" in err
+
+    def test_thread_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HYBRID_SAMPLER_THREADS", "abc")
+        config = write_config(tmp_path, THERMAL)
+        assert main(["prob", "--config", config, "--counts", "1"]) == 0
+        assert capsys.readouterr().out == "0.25\n"
 
     def test_bad_counts_string(self, tmp_path):
         config = write_config(tmp_path, THERMAL)
@@ -220,9 +249,26 @@ class TestPdf:
         values = [float(line.split(",")[-1]) for line in lines[1:]]
         assert values == list(marginal.probabilities.values())
 
-    def test_budget_violation_fails(self, tmp_path):
+    def test_budget_violation_fails(self, tmp_path, capsys):
+        """4097^2 box entries exceed the 2^24 lattice budget."""
         config = write_config(tmp_path, THERMAL)
-        assert main(["pdf", "--config", config, "--cutoff", "40"]) == 1
+        assert main(["pdf", "--config", config, "--cutoff", "4096"]) == 1
+        err = capsys.readouterr().err
+        assert "16785409 box entries" in err and "16777216" in err
+
+    def test_large_cutoff_within_budget(self, tmp_path):
+        """Cutoff 17 at one mode needs 18^2 box entries, well within the budget."""
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            argv = ["pdf", "--config", THERMAL_FILE, "--cutoff", "17", "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        lines = outs[0].read_text().splitlines()
+        assert len(lines) == 19
+        for count, line in enumerate(lines[1:]):
+            assert float(line.split(",")[1]) == pytest.approx(
+                0.5 ** (count + 1), abs=1e-12
+            )
 
 
 class TestSample:

@@ -1,20 +1,19 @@
-"""Tests for the two hafnian routes and their dispatcher."""
+"""Tests for the two hafnian routes."""
 
 import math
+import types
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import hybrid_sampler
 from hybrid_sampler.hafnian import (
     HafnianSizeError,
     NAIVE_MAX_DIM,
     POWERTRACE_MAX_DIM,
-    THREADS_ENV_VAR,
-    hafnian,
     hafnian_naive,
     hafnian_powertrace,
-    resolve_workers,
 )
 
 np.random.seed(42)
@@ -148,12 +147,6 @@ class TestPowerTrace:
         big = hafnian_powertrace(mat)
         assert big == pytest.approx((1e6) ** 3 * small, rel=1e-9)
 
-    def test_worker_count_is_bitwise_irrelevant(self):
-        mat = random_symmetric(10)
-        serial = hafnian_powertrace(mat, workers=1)
-        for workers in (2, 5, 8):
-            assert hafnian_powertrace(mat, workers=workers) == serial
-
     def test_size_cap(self):
         big = np.zeros((POWERTRACE_MAX_DIM + 2, POWERTRACE_MAX_DIM + 2))
         with pytest.raises(HafnianSizeError, match="hafnian_powertrace"):
@@ -168,32 +161,8 @@ class TestPowerTrace:
         assert doubled == pytest.approx(2.0**10 * val, rel=1e-8)
 
 
-class TestDispatch:
-    def test_small_goes_to_naive(self):
-        mat = random_symmetric(6)
-        assert hafnian(mat) == hafnian_naive(mat)
-
-    def test_large_goes_to_powertrace(self):
-        mat = random_symmetric(10)
-        assert hafnian(mat) == hafnian_powertrace(mat)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="not square"):
-            hafnian(np.zeros(4))
-
-
-class TestResolveWorkers:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert resolve_workers() == 1
-
-    def test_environment_cap(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "6")
-        assert resolve_workers() == 6
-
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "6")
-        assert resolve_workers(3) == 3
-
-    def test_floor_of_one(self):
-        assert resolve_workers(0) == 1
+class TestPackageNamespace:
+    def test_hafnian_is_the_submodule(self):
+        """The package attribute is the module, not a shadowing function."""
+        assert isinstance(hybrid_sampler.hafnian, types.ModuleType)
+        assert hybrid_sampler.hafnian.hafnian_naive is hafnian_naive

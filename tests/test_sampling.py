@@ -1,12 +1,15 @@
 """Outcome probabilities, enumeration, sampling and goodness of fit."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hybrid_sampler import bdg, gaussian, sampling
-from hybrid_sampler.gaussian import CountsVector
+from hybrid_sampler.gaussian import CountsVector, extend_matrix
+from hybrid_sampler.hafnian import hafnian_naive
 
 from conftest import (
     squeeze_blocks,
@@ -28,6 +31,16 @@ def make_state(blocks, temperature):
 def thermal_pmf(count, mean=1.0):
     """Bose-Einstein probability mean^N / (1 + mean)^(N + 1)."""
     return mean**count / (1.0 + mean) ** (count + 1)
+
+
+def peak_traced_bytes(func):
+    """Peak bytes traced while ``func`` runs (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def squeezed_pmf(count, r):
@@ -85,6 +98,33 @@ class TestOutcomeProbability:
         with pytest.raises(sampling.ImaginaryResidualError, match="imaginary"):
             sampling.outcome_probability(state, (1,))
 
+    def test_asymmetric_base_matrix_rejected(self):
+        state = make_state(thermal_blocks(1.0), T_HALF)
+        state.c = state.c.astype(complex)
+        state.c[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            sampling.outcome_probability(state, (1,))
+
+    def test_budget_refuses_before_allocating(self):
+        """(5000 + 1)^2 box entries exceed 2^24; nothing is allocated."""
+        state = make_state(thermal_blocks(1.0), T_HALF)
+
+        def attempt():
+            with pytest.raises(ValueError, match="25010001 box entries.*16777216"):
+                sampling.outcome_probability(state, (5000,))
+
+        assert peak_traced_bytes(attempt) < 2**20
+
+    def test_equals_lattice_entry_bit_for_bit(self):
+        """Both read the same recurrence values, from different boxes."""
+        _, _, dec = stable_instance(np.random.default_rng(8), 2, 1)
+        state = gaussian.covariance(dec, 0.3)
+        dist = sampling.enumerate_distribution(state, 3)
+        assert len(dist.probabilities) == 64
+        for counts, value in dist.probabilities.items():
+            got = sampling.outcome_probability(state, counts)
+            assert type(got) is float and got == value
+
 
 class TestEnumerate:
     def test_vacuum_all_mass_at_zero(self):
@@ -118,15 +158,6 @@ class TestEnumerate:
         )
         assert off_diagonal < 1e-12
 
-    def test_worker_count_is_bitwise_irrelevant(self):
-        state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
-        serial = sampling.enumerate_distribution(state, 4, workers=1)
-        for workers in (2, 8):
-            parallel = sampling.enumerate_distribution(state, 4, workers=workers)
-            assert list(parallel.probabilities.values()) == list(
-                serial.probabilities.values()
-            )
-
     def test_captured_mass_grows_with_cutoff(self):
         state = make_state(thermal_blocks(1.0), T_HALF)
         masses = [
@@ -136,15 +167,37 @@ class TestEnumerate:
         assert masses[0] < masses[1] < masses[2]
 
     def test_outcome_budget(self):
+        """M = 4 at cutoff 40 needs 41^8 box entries, far above 2^24."""
         _, _, dec = stable_instance(np.random.default_rng(5), 2, 2)
         state = gaussian.covariance(dec, 0.2)
-        with pytest.raises(ValueError, match="enumeration budget"):
+        with pytest.raises(
+            ValueError, match=r"lattice budget.*= 7984925229121 box entries.*16777216"
+        ):
             sampling.enumerate_distribution(state, 40)
 
     def test_hafnian_budget(self):
+        """Cutoff 17 at M = 1, a 34 x 34 replicated hafnian, is within budget."""
         state = make_state(thermal_blocks(1.0), T_HALF)
-        with pytest.raises(ValueError, match="hafnian budget"):
-            sampling.enumerate_distribution(state, 17)
+        dist = sampling.enumerate_distribution(state, 17)
+        for count in range(18):
+            assert dist.probability((count,)) == pytest.approx(
+                thermal_pmf(count), abs=1e-12
+            )
+
+    def test_budget_refuses_before_allocating(self):
+        """4097^2 box entries exceed 2^24; nothing is allocated."""
+        state = make_state(thermal_blocks(1.0), T_HALF)
+
+        def attempt():
+            with pytest.raises(ValueError, match="16785409 box entries.*16777216"):
+                sampling.enumerate_distribution(state, 4096)
+
+        assert peak_traced_bytes(attempt) < 2**20
+
+    def test_probabilities_are_python_floats(self):
+        state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
+        dist = sampling.enumerate_distribution(state, 3)
+        assert all(type(v) is float for v in dist.probabilities.values())
 
     def test_negative_cutoff(self):
         state = make_state(thermal_blocks(1.0), T_HALF)
@@ -155,6 +208,47 @@ class TestEnumerate:
         state = make_state(thermal_blocks(1.0), T_HALF)
         dist = sampling.enumerate_distribution(state, 3)
         assert dist.fingerprint == state.fingerprint()
+
+
+class TestHafnianOracle:
+    """The recurrence against replicated hafnians and closed forms."""
+
+    def test_random_states_match_naive_hafnian(self):
+        """50 seeded random stable states with M <= 3 and 2 M cutoff <= 12."""
+        rng = np.random.default_rng(2025)
+        partitions = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2)]
+        temperatures = [0.0, 0.3, 1.0]
+        worst = 0.0
+        for index in range(50):
+            m_a, m_ph = partitions[index % len(partitions)]
+            _, _, dec = stable_instance(rng, m_a, m_ph, strength=0.4)
+            state = gaussian.covariance(dec, temperatures[index % 3])
+            cutoff = 6 // state.m
+            dist = sampling.enumerate_distribution(state, cutoff)
+            for counts, value in dist.probabilities.items():
+                haf = hafnian_naive(extend_matrix(state.c, counts))
+                log_fact = sum(math.lgamma(n + 1) for n in counts.key())
+                want = (haf * math.exp(-state.log_norm - log_fact)).real
+                worst = max(worst, abs(value - want))
+        assert worst < 1e-12
+
+    def test_closed_forms_to_cutoff_16(self):
+        thermal = make_state(thermal_blocks(1.0), T_HALF)
+        squeezed = make_state(squeeze_blocks(1.0, 0.6), 0.0)
+        pair = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
+        r_single = 0.25 * math.log(4.0)
+        pair_mean = math.sinh(0.25 * math.log(7.0 / 3.0)) ** 2
+        dists = [sampling.enumerate_distribution(s, 16) for s in (thermal, squeezed, pair)]
+        for count in range(17):
+            assert dists[0].probability((count,)) == pytest.approx(
+                thermal_pmf(count), abs=1e-12
+            )
+            assert dists[1].probability((count,)) == pytest.approx(
+                squeezed_pmf(count, r_single), abs=1e-12
+            )
+        for n, q in itertools.product(range(17), repeat=2):
+            want = thermal_pmf(n, pair_mean) if n == q else 0.0
+            assert dists[2].probability((n, q)) == pytest.approx(want, abs=1e-12)
 
 
 class TestMarginalize:
