@@ -129,6 +129,22 @@ def _emit(args, payload, *, digest, seed=-1, parameters=None, meta=None):
     return 0
 
 
+def _nonnegative_int(text):
+    """argparse type: an integer >= 0 (argparse reports a ValueError)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
+def _seed(text):
+    """argparse type: an integer key in [0, 2^64)."""
+    value = _nonnegative_int(text)
+    if value >= 2 ** 64:
+        raise argparse.ArgumentTypeError("must be below 2^64, got %d" % value)
+    return value
+
+
 def _parse_counts(text, m):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     try:
@@ -239,10 +255,8 @@ def _distribution(args, cfg):
 
 def _pdf_csv(dist):
     lines = [",".join(_count_columns(dist.m_a, dist.m_ph) + ["probability"])]
-    for counts, value in dist.probabilities.items():
-        lines.append(
-            ",".join([str(c) for c in counts.key()] + [repr(value)])
-        )
+    for key in np.ndindex(dist.probabilities.shape):
+        lines.append(",".join(map(str, key)) + "," + repr(float(dist.probabilities[key])))
     return "\n".join(lines) + "\n"
 
 
@@ -445,9 +459,10 @@ def _validate_lines(cfg, args):
          "captured mass %.12g (clamped %d)" % (dist.captured_mass, dist.clamped))
     )
     if dist.captured_mass > 1.0 - 1e-8:
-        means = np.zeros(dec.m)
-        for counts, value in dist.probabilities.items():
-            means += value * np.asarray(counts.key(), dtype=float)
+        # A running sum adds the outcomes one at a time in count order; the
+        # printed residual is at roundoff level and a pairwise sum moves it.
+        weighted = dist.probabilities * np.indices(dist.probabilities.shape)
+        means = np.cumsum(weighted.reshape(dec.m, -1), axis=1)[:, -1]
         mom = float(np.max(np.abs(means - state.mean_occupations())))
         checks.append((mom < 1e-6, "moment consistency %.3e" % mom))
     else:
@@ -559,7 +574,7 @@ def _build_parser():
 
     sub = subs.add_parser("pdf", help="enumerate the joint count distribution as CSV")
     _add_common(sub, tols=("stability", "symmetry", "imaginary"))
-    sub.add_argument("--cutoff", type=int, required=True, help="largest count per mode")
+    sub.add_argument("--cutoff", type=_nonnegative_int, required=True, help="largest count per mode")
     sub.add_argument(
         "--photons-only",
         action="store_true",
@@ -576,9 +591,9 @@ def _build_parser():
 
     sub = subs.add_parser("sample", help="draw reproducible samples as CSV")
     _add_common(sub, tols=("stability", "symmetry", "imaginary"))
-    sub.add_argument("--cutoff", type=int, required=True, help="largest count per mode")
-    sub.add_argument("--n", type=int, required=True, help="number of draws")
-    sub.add_argument("--seed", type=int, required=True, help="64-bit PRNG key")
+    sub.add_argument("--cutoff", type=_nonnegative_int, required=True, help="largest count per mode")
+    sub.add_argument("--n", type=_nonnegative_int, required=True, help="number of draws")
+    sub.add_argument("--seed", type=_seed, required=True, help="64-bit PRNG key")
 
     sub = subs.add_parser("haf", help="hafnian of a matrix JSON file")
     sub.add_argument("--matrix", required=True, help="path to the matrix JSON")

@@ -476,22 +476,15 @@ def build_mode_basis(cfg):
     return basis
 
 
-def _laplacian(values, step):
-    """Second-order central finite difference with zero boundary values."""
-    out = np.empty_like(values)
-    out[1:-1] = values[:-2] - 2.0 * values[1:-1] + values[2:]
-    out[0] = values[1] - 2.0 * values[0]
-    out[-1] = values[-2] - 2.0 * values[-1]
-    return out / step**2
-
-
 def compute_coupling_blocks(basis, cfg):
     """Integrate the mode basis into coupling blocks.
 
     The atomic single-particle operator is the trap Hamiltonian plus the
     drive-induced optical potential, minus the chemical potential, plus
-    the Popov mean-field shift.  All paired blocks are explicitly
-    symmetrized before use.
+    the Popov mean-field shift.  The basis functions are the trap's own
+    eigenfunctions, so the trap part is exactly diag(l + 1/2); only the
+    remaining potential terms are integrated.  All paired blocks are
+    explicitly symmetrized before use.
     """
     w = basis.weights
     phi0 = basis.phi0
@@ -506,18 +499,9 @@ def compute_coupling_blocks(basis, cfg):
     chi_pha = inv_da * (omnu.conj() * (w * om0 * phi0.conj())) @ phi.T
     chit_pha = inv_da * (omnu.conj() * (w * om0 * phi0)) @ phi.conj().T
 
-    step = basis.x[1] - basis.x[0]
-    potential = (
-        0.5 * basis.x**2
-        + np.abs(om0) ** 2 * inv_da
-        - cfg.mu
-        + 2.0 * cfg.g_a_n0 * (dens0 + cfg.n_ex)
-    )
-    if cfg.m_a:
-        h_phi = -0.5 * np.apply_along_axis(_laplacian, 1, phi, step) + potential * phi
-        eps_a = (phi.conj() * w) @ h_phi.T
-    else:
-        eps_a = np.zeros((0, 0))
+    potential = np.abs(om0) ** 2 * inv_da - cfg.mu + 2.0 * cfg.g_a_n0 * (dens0 + cfg.n_ex)
+    trap = np.diag(np.arange(1, cfg.m_a + 1) + 0.5)
+    eps_a = trap + (phi.conj() * (w * potential)) @ phi.T
 
     blocks = CouplingBlocks(
         eps_a=_symmetrize_hermitian(eps_a, "eps_a"),

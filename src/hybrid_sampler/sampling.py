@@ -23,7 +23,6 @@ enumerated distribution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -68,9 +67,8 @@ class OutcomeDistribution:
     """Exhaustive outcome probabilities up to a per-mode cutoff.
 
     Attributes:
-        cutoff: largest count per mode included in the lattice
-        probabilities: ordered map CountsVector -> probability, outcomes
-            in lexicographic count order
+        probabilities: float64 array of shape (cutoff + 1,) * M, indexed
+            by counts with atoms first
         captured_mass: sum of all included probabilities
         fingerprint: hex digest of the generating state
         m_a: atom modes in each outcome
@@ -78,8 +76,7 @@ class OutcomeDistribution:
         clamped: number of tiny negative probabilities snapped to zero
     """
 
-    cutoff: int
-    probabilities: dict
+    probabilities: np.ndarray
     captured_mass: float
     fingerprint: str
     m_a: int
@@ -87,15 +84,21 @@ class OutcomeDistribution:
     clamped: int = 0
 
     @property
+    def cutoff(self):
+        """Largest count per mode included in the lattice."""
+        return self.probabilities.shape[0] - 1
+
+    @property
     def m(self):
         return self.m_a + self.m_ph
 
     def outcomes(self):
-        return list(self.probabilities.keys())
+        shape = self.probabilities.shape
+        return [_counts_vector(key, self.m_a) for key in np.ndindex(shape)]
 
     def probability(self, counts):
-        counts = _as_counts(counts, self.m_a, self.m_ph)
-        return self.probabilities.get(counts, 0.0)
+        key = _as_counts(counts, self.m_a, self.m_ph).key()
+        return float(self.probabilities[key]) if max(key) <= self.cutoff else 0.0
 
 
 @dataclass
@@ -117,17 +120,21 @@ class ChiSquareResult:
         return "pass" if self.passed else "fail"
 
 
+def _counts_vector(key, m_a):
+    key = tuple(int(k) for k in key)
+    return CountsVector(atoms=key[:m_a], photons=key[m_a:])
+
+
 def _as_counts(counts, m_a, m_ph):
     if isinstance(counts, CountsVector):
         vec = counts
     else:
-        flat = tuple(int(c) for c in counts)
-        if len(flat) != m_a + m_ph:
+        vec = _counts_vector(counts, m_a)
+        if len(vec.key()) != m_a + m_ph:
             raise ValueError(
                 "counts vector has %d entries, state has %d modes"
-                % (len(flat), m_a + m_ph)
+                % (len(vec.key()), m_a + m_ph)
             )
-        vec = CountsVector(atoms=flat[:m_a], photons=flat[m_a:])
     if len(vec.atoms) != m_a or len(vec.photons) != m_ph:
         raise ValueError(
             "counts partition (%d, %d) does not match state partition (%d, %d)"
@@ -148,15 +155,6 @@ def _checked_base_matrix(state):
             "base matrix is not symmetric: max |C - C^T| = %.3e" % residual
         )
     return 0.5 * (c + c.T)
-
-
-def _check_budget(entries, quantity, remedy):
-    """Refuse a recurrence box above MAX_BOX_ENTRIES before allocating it."""
-    if entries > MAX_BOX_ENTRIES:
-        raise ValueError(
-            "lattice budget exceeded: %s = %d box entries is above the "
-            "limit %d; %s" % (quantity, entries, MAX_BOX_ENTRIES, remedy)
-        )
 
 
 def _hermite_box(c, extents):
@@ -194,8 +192,8 @@ def _hermite_box(c, extents):
     return g
 
 
-def _probabilities(state, values, outcomes, tol_imaginary):
-    """Python-float probabilities from box values, and the clamped count.
+def _probabilities(state, values, tol_imaginary):
+    """Float probabilities from box values, same shape, and the clamped count.
 
     Each outcome's imaginary residual must stay within ``tol_imaginary``
     of its weight (or 1e-12); negatives down to the roundoff floor are
@@ -209,7 +207,8 @@ def _probabilities(state, values, outcomes, tol_imaginary):
         raise ImaginaryResidualError(
             "outcome %s has imaginary residual %.3e (limit %.3e); the "
             "base matrix is not a valid state kernel"
-            % (outcomes[i], abs(weights[i].imag), limits[i])
+            % (_outcome_at(values, i, state.m_a), abs(weights.flat[i].imag),
+               limits.flat[i])
         )
     real = weights.real
     bad = np.flatnonzero(real < _CLAMP_FLOOR)
@@ -217,17 +216,41 @@ def _probabilities(state, values, outcomes, tol_imaginary):
         i = bad[0]
         raise ValueError(
             "outcome %s has probability %.3e below the roundoff floor "
-            "%.1e; the state is invalid" % (outcomes[i], real[i], _CLAMP_FLOOR)
+            "%.1e; the state is invalid"
+            % (_outcome_at(values, i, state.m_a), real.flat[i], _CLAMP_FLOOR)
         )
     negative = real < 0
-    return np.where(negative, 0.0, real).tolist(), int(np.count_nonzero(negative))
+    return np.where(negative, 0.0, real), int(np.count_nonzero(negative))
+
+
+def _outcome_at(values, flat_index, m_a):
+    return _counts_vector(np.unravel_index(flat_index, values.shape), m_a)
+
+
+def _lattice(state, extents, quantity, remedy, tol_imaginary):
+    """Probabilities of every outcome below ``extents``, and the clamped count.
+
+    The outcomes are the diagonal of the recurrence box with ``extents``
+    for both the row and the column counts; the box is refused above
+    MAX_BOX_ENTRIES before it is allocated.
+    """
+    side = math.prod(extents)
+    if side * side > MAX_BOX_ENTRIES:
+        raise ValueError(
+            "lattice budget exceeded: %s = %d box entries is above the "
+            "limit %d; %s" % (quantity, side * side, MAX_BOX_ENTRIES, remedy)
+        )
+    box = _hermite_box(_checked_base_matrix(state), extents * 2)
+    diagonal = box.reshape(side, side).diagonal().reshape(extents)
+    return _probabilities(state, diagonal, tol_imaginary)
 
 
 def outcome_probability(state, counts, *, tol_imaginary=1e-9):
     """Probability of one joint count outcome.
 
-    Runs the recurrence on the box [0, n] x [0, n], so the result equals
-    the enumerated lattice's entry for n bit for bit.
+    Runs the recurrence on the box [0, n] x [0, n] and reads the far
+    corner of its diagonal, so the result equals the enumerated lattice's
+    entry for n bit for bit.
 
     Args:
         state (GaussianState): state built by the gaussian module
@@ -238,26 +261,25 @@ def outcome_probability(state, counts, *, tol_imaginary=1e-9):
         float
 
     Raises:
-        ImaginaryResidualError: imaginary part above tolerance, which
-            signals an invalid base matrix.
+        ImaginaryResidualError: an imaginary part above tolerance on the
+            diagonal up to n, which signals an invalid base matrix.
         ValueError: the box prod (n_k + 1)^2 exceeds MAX_BOX_ENTRIES, or
-            the probability is below the roundoff floor.
+            a probability on the diagonal up to n is below the roundoff
+            floor.
     """
-    counts = _as_counts(counts, state.m_a, state.m_ph)
-    extents = tuple(n + 1 for n in counts.key()) * 2
-    _check_budget(math.prod(extents), "prod (n_k+1)^2", "lower the counts")
-    box = _hermite_box(_checked_base_matrix(state), extents)
-    (value,), _ = _probabilities(
-        state, box.reshape(-1)[-1:], [counts], tol_imaginary
+    key = _as_counts(counts, state.m_a, state.m_ph).key()
+    extents = tuple(n + 1 for n in key)
+    probabilities, _ = _lattice(
+        state, extents, "prod (n_k+1)^2", "lower the counts", tol_imaginary
     )
-    return value
+    return float(probabilities[key])
 
 
 def enumerate_distribution(state, cutoff, *, tol_imaginary=1e-9):
     """Evaluate every outcome with all counts <= cutoff.
 
     One recurrence fills the box [0, cutoff]^(2M); the outcomes are its
-    diagonal, in lexicographic count order.
+    diagonal.
 
     Args:
         state (GaussianState): state built by the gaussian module
@@ -275,30 +297,19 @@ def enumerate_distribution(state, cutoff, *, tol_imaginary=1e-9):
     cutoff = int(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    m = state.m
-    _check_budget(
-        (cutoff + 1) ** (2 * m),
-        "(cutoff+1)^(2M)",
-        "lower the cutoff or the mode count",
+    extents = (cutoff + 1,) * state.m
+    probabilities, clamped = _lattice(
+        state, extents, "(cutoff+1)^(2M)", "lower the cutoff or the mode count",
+        tol_imaginary,
     )
-    box = _hermite_box(_checked_base_matrix(state), (cutoff + 1,) * (2 * m))
-    side = (cutoff + 1) ** m
-    outcomes = [
-        CountsVector(atoms=key[: state.m_a], photons=key[state.m_a :])
-        for key in itertools.product(range(cutoff + 1), repeat=m)
-    ]
-    values, clamped = _probabilities(
-        state, box.reshape(side, side).diagonal(), outcomes, tol_imaginary
-    )
-    captured = math.fsum(values)
+    captured = math.fsum(probabilities.ravel())
     if captured > 1.0 + _MASS_SLACK:
         raise ValueError(
             "captured mass %.12f exceeds 1 by more than %.1e; the state "
             "is invalid" % (captured, _MASS_SLACK)
         )
     return OutcomeDistribution(
-        cutoff=cutoff,
-        probabilities=dict(zip(outcomes, values)),
+        probabilities=probabilities,
         captured_mass=captured,
         fingerprint=state.fingerprint(),
         m_a=state.m_a,
@@ -325,24 +336,17 @@ def marginalize(dist, keep):
             "keep indices must lie in [0, %d)" % dist.m
         )
     new_m_a = sum(1 for i in kept if i < dist.m_a)
-    new_m_ph = len(kept) - new_m_a
-
-    accum = {}
-    for counts, value in dist.probabilities.items():
-        key = counts.key()
-        sub = tuple(key[i] for i in kept)
-        accum[sub] = accum.get(sub, 0.0) + value
-    probabilities = {}
-    for sub in sorted(accum):
-        counts = CountsVector(atoms=sub[:new_m_a], photons=sub[new_m_a:])
-        probabilities[counts] = accum[sub]
+    dropped = [i for i in range(dist.m) if i not in kept]
+    # A running sum adds each entry's terms one at a time in lexicographic
+    # count order; a pairwise .sum() would move last bits of the payloads.
+    moved = dist.probabilities.transpose(dropped + kept)
+    summed = np.cumsum(moved.reshape((-1,) + moved.shape[len(dropped):]), axis=0)
     return OutcomeDistribution(
-        cutoff=dist.cutoff,
-        probabilities=probabilities,
+        probabilities=summed[-1],
         captured_mass=dist.captured_mass,
         fingerprint=dist.fingerprint,
         m_a=new_m_a,
-        m_ph=new_m_ph,
+        m_ph=len(kept) - new_m_a,
         clamped=dist.clamped,
     )
 
@@ -375,15 +379,12 @@ def sample(dist, n_samples, seed):
             "captured mass %.6f is <= 0.99; raise the cutoff before "
             "sampling" % dist.captured_mass
         )
-    outcomes = dist.outcomes()
-    probs = np.fromiter(
-        dist.probabilities.values(), dtype=float, count=len(outcomes)
-    )
-    cdf = np.cumsum(probs / dist.captured_mass)
+    cdf = np.cumsum(dist.probabilities.ravel() / dist.captured_mass)
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     draws = rng.random(n_samples)
     indices = np.searchsorted(cdf, draws, side="right")
+    outcomes = dist.outcomes()
     return [outcomes[int(i)] for i in indices]
 
 
@@ -414,17 +415,16 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
     retained = []
     tail_expected = 0.0
     tail_observed = 0
-    for counts, value in dist.probabilities.items():
+    for counts, value in zip(dist.outcomes(), dist.probabilities.ravel().tolist()):
         expected = value / dist.captured_mass * n
+        seen = observed.pop(counts, 0)
         if expected >= min_expected:
-            retained.append([float(observed.get(counts, 0)), expected])
+            retained.append([float(seen), expected])
         else:
             tail_expected += expected
-            tail_observed += observed.get(counts, 0)
-    known = set(dist.probabilities)
-    for counts, count in observed.items():
-        if counts not in known:
-            tail_observed += count
+            tail_observed += seen
+    # What is left was drawn outside the lattice.
+    tail_observed += sum(observed.values())
 
     if tail_expected > 0 or tail_observed > 0:
         if tail_expected >= min_expected:

@@ -88,8 +88,8 @@ def test_criterion_3_two_mode_correlation():
     state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
     dist = sampling.enumerate_distribution(state, 8)
     mismatched = sum(
-        value
-        for counts, value in dist.probabilities.items()
+        dist.probability(counts)
+        for counts in dist.outcomes()
         if counts.atoms[0] != counts.photons[0]
     )
     r = 0.25 * math.log(7.0 / 3.0)
@@ -244,8 +244,8 @@ def test_criterion_6_normalization_and_moments():
         dist = sampling.enumerate_distribution(state, cutoff)
         if dist.captured_mass > 1.0 - 1e-8:
             means = np.zeros(state.m)
-            for counts, value in dist.probabilities.items():
-                means += value * np.asarray(counts.key(), dtype=float)
+            for counts in dist.outcomes():
+                means += dist.probability(counts) * np.asarray(counts.key(), dtype=float)
             err = float(np.max(np.abs(means - state.mean_occupations())))
             worst_moment = max(worst_moment, err)
             tested += 1
@@ -294,9 +294,9 @@ def test_criterion_6_second_moments():
             dist = sampling.enumerate_distribution(state, cutoff)
         largest_cutoff = max(largest_cutoff, cutoff)
         second = np.zeros((state.m, state.m))
-        for counts, value in dist.probabilities.items():
+        for counts in dist.outcomes():
             n = np.asarray(counts.key(), dtype=float)
-            second += value * np.outer(n, n)
+            second += dist.probability(counts) * np.outer(n, n)
         worst = max(worst, float(np.max(np.abs(second - wick_second_moments(state)))))
     report(
         worst < 1e-6,

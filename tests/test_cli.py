@@ -225,7 +225,7 @@ class TestPdf:
         lines = out.read_text().splitlines()
         assert lines[0] == "n_1,q_1,probability"
         values = [float(line.split(",")[-1]) for line in lines[1:]]
-        assert values == list(dist.probabilities.values())
+        assert values == dist.probabilities.ravel().tolist()
 
     def test_photons_only_equals_marginal(self, tmp_path):
         config = write_config(tmp_path, TWO_MODE)
@@ -247,7 +247,7 @@ class TestPdf:
         lines = out.read_text().splitlines()
         assert lines[0] == "q_1,probability"
         values = [float(line.split(",")[-1]) for line in lines[1:]]
-        assert values == list(marginal.probabilities.values())
+        assert values == marginal.probabilities.ravel().tolist()
 
     def test_budget_violation_fails(self, tmp_path, capsys):
         """4097^2 box entries exceed the 2^24 lattice budget."""
@@ -438,3 +438,21 @@ class TestUsageAndExitCodes:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["pdf", "--cutoff", "-1"], "--cutoff"),
+            (["sample", "--cutoff", "4", "--n", "-3", "--seed", "1"], "--n"),
+            (["sample", "--cutoff", "4", "--n", "3", "--seed", "-1"], "--seed"),
+            (
+                ["sample", "--cutoff", "4", "--n", "3", "--seed", str(2**64)],
+                "--seed",
+            ),
+        ],
+    )
+    def test_out_of_range_integer_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        """Refused by the parser: the unstable config would exit 1 if read."""
+        config = write_config(tmp_path, UNSTABLE)
+        assert main(argv[:1] + ["--config", config] + argv[1:]) == 2
+        assert "argument %s" % flag in capsys.readouterr().err

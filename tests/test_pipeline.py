@@ -40,9 +40,7 @@ class TestPipeline:
         dist = pipeline.distribution(cfg, 10)
         state = pipeline.gaussian_state(cfg)
         manual = sampling.enumerate_distribution(state, 10)
-        assert list(dist.probabilities.values()) == list(
-            manual.probabilities.values()
-        )
+        np.testing.assert_array_equal(dist.probabilities, manual.probabilities)
 
     def test_squeeze_factors_round_trip(self):
         cfg = model.config_from_dict(

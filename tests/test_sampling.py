@@ -117,13 +117,14 @@ class TestOutcomeProbability:
 
     def test_equals_lattice_entry_bit_for_bit(self):
         """Both read the same recurrence values, from different boxes."""
-        _, _, dec = stable_instance(np.random.default_rng(8), 2, 1)
-        state = gaussian.covariance(dec, 0.3)
-        dist = sampling.enumerate_distribution(state, 3)
-        assert len(dist.probabilities) == 64
-        for counts, value in dist.probabilities.items():
-            got = sampling.outcome_probability(state, counts)
-            assert type(got) is float and got == value
+        for seed in (8, 9, 10):
+            _, _, dec = stable_instance(np.random.default_rng(seed), 2, 1)
+            state = gaussian.covariance(dec, 0.3)
+            dist = sampling.enumerate_distribution(state, 3)
+            assert dist.probabilities.size == 64
+            for counts in dist.outcomes():
+                got = sampling.outcome_probability(state, counts)
+                assert type(got) is float and got == dist.probability(counts)
 
 
 class TestEnumerate:
@@ -152,8 +153,8 @@ class TestEnumerate:
         state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
         dist = sampling.enumerate_distribution(state, 6)
         off_diagonal = sum(
-            value
-            for counts, value in dist.probabilities.items()
+            dist.probability(counts)
+            for counts in dist.outcomes()
             if counts.atoms[0] != counts.photons[0]
         )
         assert off_diagonal < 1e-12
@@ -197,7 +198,8 @@ class TestEnumerate:
     def test_probabilities_are_python_floats(self):
         state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
         dist = sampling.enumerate_distribution(state, 3)
-        assert all(type(v) is float for v in dist.probabilities.values())
+        assert dist.probabilities.dtype == np.float64
+        assert all(type(dist.probability(c)) is float for c in dist.outcomes())
 
     def test_negative_cutoff(self):
         state = make_state(thermal_blocks(1.0), T_HALF)
@@ -225,7 +227,8 @@ class TestHafnianOracle:
             state = gaussian.covariance(dec, temperatures[index % 3])
             cutoff = 6 // state.m
             dist = sampling.enumerate_distribution(state, cutoff)
-            for counts, value in dist.probabilities.items():
+            for counts in dist.outcomes():
+                value = dist.probability(counts)
                 haf = hafnian_naive(extend_matrix(state.c, counts))
                 log_fact = sum(math.lgamma(n + 1) for n in counts.key())
                 want = (haf * math.exp(-state.log_norm - log_fact)).real
@@ -256,8 +259,8 @@ class TestMarginalize:
         state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
         dist = sampling.enumerate_distribution(state, 4)
         same = sampling.marginalize(dist, [0, 1])
-        assert list(same.probabilities.values()) == pytest.approx(
-            list(dist.probabilities.values())
+        assert same.probabilities.ravel().tolist() == pytest.approx(
+            dist.probabilities.ravel().tolist()
         )
 
     def test_two_mode_squeezed_marginal_is_thermal(self):
@@ -372,14 +375,11 @@ class TestChiSquare:
         state = make_state(thermal_blocks(1.0), T_HALF)
         dist = sampling.enumerate_distribution(state, 12)
         draws = sampling.sample(dist, 100_000, seed=2)
-        shifted = dict(dist.probabilities)
-        zero = CountsVector(atoms=(0,), photons=())
-        one = CountsVector(atoms=(1,), photons=())
-        delta = 0.2 * shifted[one]
-        shifted[one] -= delta
-        shifted[zero] += delta
+        shifted = dist.probabilities.copy()
+        delta = 0.2 * shifted[1]
+        shifted[1] -= delta
+        shifted[0] += delta
         wrong = sampling.OutcomeDistribution(
-            cutoff=dist.cutoff,
             probabilities=shifted,
             captured_mass=dist.captured_mass,
             fingerprint=dist.fingerprint,
@@ -422,7 +422,8 @@ class TestCrossCorrelation:
         state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
         dist = sampling.enumerate_distribution(state, 8)
         e_n = e_q = e_nq = 0.0
-        for counts, value in dist.probabilities.items():
+        for counts in dist.outcomes():
+            value = dist.probability(counts)
             n, q = counts.atoms[0], counts.photons[0]
             e_n += value * n
             e_q += value * q
@@ -441,3 +442,65 @@ class TestRecommendCutoff:
     def test_vacuum_floor(self):
         state = make_state(thermal_blocks(1.0), 0.0)
         assert sampling.recommend_cutoff(state) == 1
+
+
+def dict_marginal(dist, kept):
+    """Marginal by accumulating into a dict in outcome order, as a reference."""
+    accum = {}
+    for counts in dist.outcomes():
+        key = counts.key()
+        sub = tuple(key[i] for i in kept)
+        accum[sub] = accum.get(sub, 0.0) + dist.probability(counts)
+    return sorted(accum), [accum[sub] for sub in sorted(accum)]
+
+
+class TestDenseStorage:
+    def test_cutoff_and_shape(self):
+        state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
+        dist = sampling.enumerate_distribution(state, 5)
+        assert dist.probabilities.shape == (6, 6)
+        assert dist.cutoff == 5
+        assert dist.probability((2, 2)) == dist.probabilities[2, 2]
+
+    def test_outside_lattice_is_zero(self):
+        state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
+        dist = sampling.enumerate_distribution(state, 3)
+        got = dist.probability((4, 4))
+        assert type(got) is float and got == 0.0
+
+    def test_marginalize_matches_dict_accumulation_bit_for_bit(self):
+        """Every keep set of seeded random lattices with M <= 4."""
+        rng = np.random.default_rng(77)
+        shapes = [(1, 0, 12), (1, 1, 7), (2, 1, 4), (1, 3, 3), (2, 2, 3)]
+        for m_a, m_ph, cutoff in shapes:
+            _, _, dec = stable_instance(rng, m_a, m_ph, strength=0.4)
+            state = gaussian.covariance(dec, 0.4)
+            dist = sampling.enumerate_distribution(state, cutoff)
+            for size in range(1, dist.m + 1):
+                for keep in itertools.combinations(range(dist.m), size):
+                    marginal = sampling.marginalize(dist, keep)
+                    keys, values = dict_marginal(dist, keep)
+                    assert [c.key() for c in marginal.outcomes()] == keys
+                    assert marginal.probabilities.ravel().tolist() == values
+                    assert marginal.m_a == sum(1 for i in keep if i < m_a)
+
+
+class TestRoundoffFloor:
+    """A base matrix with C_01 = -0.5 gives p(1) = -0.5, far below the floor."""
+
+    @staticmethod
+    def invalid_state():
+        c = np.array([[0.0, -0.5], [-0.5, 0.0]])
+        return gaussian.GaussianState(
+            g=np.zeros((2, 2)), temperature=0.0, c=c, log_norm=0.0, m_a=1, m_ph=0
+        )
+
+    MESSAGE = r"outcome n=\[1\] q=\[\] has probability .* roundoff floor -1\.0e-12"
+
+    def test_enumeration_refused(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            sampling.enumerate_distribution(self.invalid_state(), 3)
+
+    def test_single_outcome_refused(self):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            sampling.outcome_probability(self.invalid_state(), (1,))
