@@ -18,7 +18,10 @@ factor ``K = L L^dag``, diagonalize ``L^dag J L`` with ``J =
 diag(I, -I)``, and rescale the positive-eigenvalue columns.  The
 negative-eigenvalue family is then reconstructed from the positive one by
 conjugate mirroring, which enforces the ``[[A*, -B*], [-B, A]]`` block
-structure of the transform exactly.
+structure of the transform exactly.  The rescaling solves against the
+upper factor ``L^dag`` with ``np.linalg.solve``: LU picks no pivots on a
+triangular matrix, so this is the same triangular solve as scipy's
+``solve_triangular``, bit for bit, and the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .model import CouplingBlocks
 
@@ -326,7 +328,7 @@ def bogoliubov_diagonalize(ham, *, tol_stability=1e-10):
                 "quasiparticle energy %.3e is not positive at tolerance" % energies[0],
                 eigenvalue=energies[0],
             )
-        t1 = solve_triangular(chol.conj().T, u[:, m:], lower=False)
+        t1 = np.linalg.solve(chol.conj().T, u[:, m:])
         t1 = t1 * np.sqrt(energies)[None, :]
 
     t1 = np.ascontiguousarray(t1)

@@ -12,6 +12,10 @@ for every valid symplectic pair; recovering V from A then makes both
 reconstructions exact by construction, including inside degenerate
 squeeze subspaces (the degenerate-block similarity in the Takagi step is
 the joint re-diagonalization that keeps them consistent).
+
+Real symmetric kernels, which every example config produces, are
+factored with numpy alone.  Only the complex branch of ``takagi`` loads
+``scipy.linalg`` (for ``sqrtm``), on first use.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, sqrtm
 
 __all__ = [
     "BlochMessiahFactors",
@@ -72,12 +75,15 @@ def takagi(mat, rounding=13):
         order = np.argsort(-mags, kind="stable")
         return mags[order], u[:, order]
 
+    # Only this branch needs scipy; no real-symmetric input reaches it.
+    from scipy.linalg import sqrtm
+
     v, d, wh = np.linalg.svd(n)
     w = wh.conj().T
     # Couple the left and right singular vectors blockwise; within a
     # degenerate block the coupling matrix is unitary symmetric and its
     # principal square root realigns the block.
-    roots = []
+    roots = np.zeros((dim, dim), dtype=complex)
     start = 0
     rounded = np.round(d, rounding)
     while start < dim:
@@ -85,9 +91,9 @@ def takagi(mat, rounding=13):
         while stop < dim and rounded[stop] == rounded[start]:
             stop += 1
         block = v[:, start:stop].T @ w[:, start:stop]
-        roots.append(sqrtm(block))
+        roots[start:stop, start:stop] = sqrtm(block)
         start = stop
-    u = v @ np.conj(block_diag(*roots))
+    u = v @ np.conj(roots)
     return d, u
 
 

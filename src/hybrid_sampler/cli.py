@@ -262,6 +262,10 @@ def _pdf_csv(dist):
 
 def _cmd_pdf(args):
     cfg, digest = _load_config(args.config)
+    if args.photons_only and cfg.m_ph == 0:
+        raise model.ConfigError(
+            "--photons-only needs photon modes, but the config has m_ph = 0"
+        )
     _, dist = _distribution(args, cfg)
     if args.photons_only:
         dist = sampling.marginalize(dist, range(cfg.m_a, cfg.m))
@@ -289,10 +293,10 @@ def _cmd_pdf(args):
 
 def _cmd_prob(args):
     cfg, digest = _load_config(args.config)
+    counts = _parse_counts(args.counts, cfg.m)
     state = pipeline.gaussian_state(
         cfg, tol_stability=args.tol_stability, tol_symmetry=args.tol_symmetry
     )
-    counts = _parse_counts(args.counts, cfg.m)
     value = sampling.outcome_probability(
         state, counts, tol_imaginary=args.tol_imaginary
     )

@@ -18,7 +18,8 @@ up to a per-mode cutoff reads the diagonal of the box [0, cutoff]^(2M); a
 single outcome n reads the far corner of the box [0, n] x [0, n].  Both
 boxes share one budget, MAX_BOX_ENTRIES.  The module also marginalizes,
 draws reproducible inverse-CDF samples, and checks samples against the
-enumerated distribution.
+enumerated distribution; the chi-square p-value loads ``scipy.special``
+on first use, so importing the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .gaussian import CountsVector
 
@@ -447,7 +447,11 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
         (obs - exp) ** 2 / exp for obs, exp in retained
     )
     dof = len(retained) - 1
-    p_value = float(chi2.sf(statistic, dof))
+    # chdtrc is the function behind scipy.stats.chi2.sf; importing it here
+    # keeps scipy out of the package import.
+    from scipy.special import chdtrc
+
+    p_value = float(chdtrc(dof, statistic))
     return ChiSquareResult(
         statistic=statistic,
         dof=dof,

@@ -202,6 +202,29 @@ class TestDiagonalize:
         np.testing.assert_array_equal(first.a, second.a)
         np.testing.assert_array_equal(first.b, second.b)
 
+    def test_triangular_solve_matches_scipy_bit_for_bit(self, rng, monkeypatch):
+        """np.linalg.solve on the upper Cholesky factor equals scipy's
+        triangular solve bit for bit, so payloads do not depend on it."""
+        from scipy.linalg import solve_triangular
+
+        calls = []
+
+        def triangular(a, b):
+            assert np.array_equal(a, np.triu(a))
+            calls.append(a.shape)
+            return solve_triangular(a, b, lower=False)
+
+        shapes = ((1, 0), (1, 1), (2, 1), (2, 2), (3, 3), (6, 4))
+        for m_a, m_ph in shapes:
+            _, ham, dec = stable_instance(rng, m_a, m_ph)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", triangular)
+                ref = bdg.bogoliubov_diagonalize(ham)
+            assert np.array_equal(dec.energies, ref.energies)
+            assert np.array_equal(dec.a, ref.a)
+            assert np.array_equal(dec.b, ref.b)
+        assert len(calls) == len(shapes)
+
     def test_metric(self):
         np.testing.assert_array_equal(
             bdg.symplectic_metric(2),

@@ -141,6 +141,13 @@ class TestProb:
         config = write_config(tmp_path, THERMAL)
         assert main(["prob", "--config", config, "--counts", "-1"]) == 2
 
+    @pytest.mark.parametrize("counts", ["1,0", "-1"])
+    def test_counts_checked_before_the_state(self, tmp_path, capsys, counts):
+        """The unstable config would exit 1 if its state were built."""
+        config = write_config(tmp_path, UNSTABLE)
+        assert main(["prob", "--config", config, "--counts", counts]) == 2
+        assert "error: counts" in capsys.readouterr().err
+
 
 class TestHaf:
     def test_ones_four(self, tmp_path, capsys):
@@ -248,6 +255,20 @@ class TestPdf:
         assert lines[0] == "q_1,probability"
         values = [float(line.split(",")[-1]) for line in lines[1:]]
         assert values == marginal.probabilities.ravel().tolist()
+
+    @pytest.mark.parametrize("name", ["thermal_one_mode.json", "squeezed_vacuum.json"])
+    def test_photons_only_without_photon_modes(self, capsys, monkeypatch, name):
+        """A usage error raised before any state is built."""
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("state built")
+
+        monkeypatch.setattr(pipeline, "gaussian_state", no_state)
+        config = os.path.join(os.path.dirname(THERMAL_FILE), name)
+        argv = ["pdf", "--config", config, "--cutoff", "4", "--photons-only"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--photons-only" in err and "m_ph = 0" in err
 
     def test_budget_violation_fails(self, tmp_path, capsys):
         """4097^2 box entries exceed the 2^24 lattice budget."""

@@ -390,6 +390,30 @@ class TestChiSquare:
         assert not result.passed
         assert result.p_bucket == "fail"
 
+    @pytest.mark.parametrize("size", [2, 7, 60, 1001, 2500])
+    def test_p_value_equals_scipy_stats_bit_for_bit(self, size):
+        """The p-value equals scipy.stats.chi2.sf exactly, on draws from the
+        reference and from a skewed distribution, up to 2499 degrees of
+        freedom."""
+        from scipy.stats import chi2
+
+        def normalized(weights):
+            return sampling.OutcomeDistribution(
+                probabilities=weights / weights.sum(),
+                captured_mass=1.0,
+                fingerprint="",
+                m_a=1,
+                m_ph=0,
+            )
+
+        flat = normalized(np.ones(size))
+        ramp = normalized(np.arange(1.0, size + 1.0))
+        for source in (flat, ramp):
+            draws = sampling.sample(source, 25 * size, seed=size)
+            result = sampling.chi_square(flat, draws)
+            assert result.dof == size - 1
+            assert result.p_value == float(chi2.sf(result.statistic, result.dof))
+
     def test_low_probability_tail_is_pooled(self):
         state = make_state(thermal_blocks(1.0), T_HALF)
         dist = sampling.enumerate_distribution(state, 12)
