@@ -18,8 +18,8 @@ up to a per-mode cutoff reads the diagonal of the box [0, cutoff]^(2M); a
 single outcome n reads the far corner of the box [0, n] x [0, n].  Both
 boxes share one budget, MAX_BOX_ENTRIES.  The module also marginalizes,
 draws reproducible inverse-CDF samples, and checks samples against the
-enumerated distribution; the chi-square p-value loads ``scipy.special``
-on first use, so importing the module needs numpy only.
+enumerated distribution; the chi-square p-value comes from a closed
+form in ``math``, so the module needs numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -447,18 +447,48 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
         (obs - exp) ** 2 / exp for obs, exp in retained
     )
     dof = len(retained) - 1
-    # chdtrc is the function behind scipy.stats.chi2.sf; importing it here
-    # keeps scipy out of the package import.
-    from scipy.special import chdtrc
-
-    p_value = float(chdtrc(dof, statistic))
     return ChiSquareResult(
         statistic=statistic,
         dof=dof,
-        p_value=p_value,
+        p_value=_chi2_sf(dof, statistic),
         n_buckets=len(retained),
         significance=significance,
     )
+
+
+def _chi2_sf(dof, x):
+    """Chi-square tail Q(dof/2, x/2) for an integer dof >= 1, with math only.
+
+    Below the mean (x < dof) this is 1 - P from the power series of P,
+    whose terms shrink there, and Q stays above about 0.3.  Otherwise the
+    tail of a half-integer a = dof/2 is a finite sum (Abramowitz & Stegun
+    26.4): the terms y^(a-k-1) e^-y / Gamma(a-k) summed by Horner from
+    the top one, each ratio (a-k)/y <= 1, plus erfc(sqrt(y)) for odd dof.
+    """
+    if dof < 1:
+        raise ValueError("chi-square needs dof >= 1, got %r" % dof)
+    if math.isnan(x):
+        return math.nan
+    a, y = dof / 2, x / 2
+    if y <= 0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    if y < a:
+        term = total = 1.0
+        k = a
+        while term > total * 1e-17:
+            k += 1
+            term *= y / k
+            total += term
+        return 1.0 - total * math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+    q = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    if dof > 1:
+        total = 1.0
+        for k in range(dof // 2 - 1, 0, -1):
+            total = 1.0 + total * (a - k) / y
+        q += total * math.exp((a - 1) * math.log(y) - y - math.lgamma(a))
+    return q
 
 
 def recommend_cutoff(state, *, factor=10.0):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hybrid_sampler import model, pipeline, sampling
-from hybrid_sampler.cli import main
+from hybrid_sampler.cli import _validate_cutoff, main
 
 T_HALF = 1.0 / math.log(2.0)
 THERMAL_FILE = os.path.join(
@@ -410,6 +410,22 @@ class TestValidate:
         assert code == 0
         assert "mode basis orthonormality" in out
         assert "validation passed" in out
+
+    def test_chi_square_line_matches_scipy_stats(self, capsys):
+        """The printed p-value is scipy.stats.chi2.sf on the same draws."""
+        from scipy.stats import chi2
+
+        config = os.path.join(os.path.dirname(THERMAL_FILE), "cavity_condensate.json")
+        with open(config, encoding="utf-8") as handle:
+            cfg = model.load_config(handle.read())
+        state = pipeline.gaussian_state(cfg)
+        dist = pipeline.distribution(cfg, _validate_cutoff(state), state=state)
+        res = sampling.chi_square(dist, sampling.sample(dist, 2000, seed=7))
+        expected = "PASS: chi-square p=%.4f over %d buckets" % (
+            chi2.sf(res.statistic, res.dof), res.n_buckets
+        )
+        assert main(["validate", "--config", config]) == 0
+        assert expected in capsys.readouterr().out.splitlines()
 
     def test_unstable_fails(self, tmp_path, capsys):
         config = write_config(tmp_path, UNSTABLE)

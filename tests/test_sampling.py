@@ -6,6 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from hybrid_sampler import bdg, gaussian, sampling
 from hybrid_sampler.gaussian import CountsVector, extend_matrix
@@ -391,11 +394,10 @@ class TestChiSquare:
         assert result.p_bucket == "fail"
 
     @pytest.mark.parametrize("size", [2, 7, 60, 1001, 2500])
-    def test_p_value_equals_scipy_stats_bit_for_bit(self, size):
-        """The p-value equals scipy.stats.chi2.sf exactly, on draws from the
-        reference and from a skewed distribution, up to 2499 degrees of
-        freedom."""
-        from scipy.stats import chi2
+    def test_p_value_agrees_with_scipy_stats(self, size):
+        """The p-value agrees with scipy.stats.chi2.sf to 1e-12, on draws
+        from the reference and from a skewed distribution, up to 2499
+        degrees of freedom."""
 
         def normalized(weights):
             return sampling.OutcomeDistribution(
@@ -412,7 +414,60 @@ class TestChiSquare:
             draws = sampling.sample(source, 25 * size, seed=size)
             result = sampling.chi_square(flat, draws)
             assert result.dof == size - 1
-            assert result.p_value == float(chi2.sf(result.statistic, result.dof))
+            reference = float(chi2.sf(result.statistic, result.dof))
+            assert result.p_value == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_tail_agrees_with_scipy_stats_on_a_grid(self):
+        """Up to 4095 degrees of freedom and from 1e-3 to 2e4, wherever the
+        tail is at least 1e-300."""
+        for dof in [1, 2, 3, 4, 5, 9, 10, 31, 64, 127, 500, 1001, 2048, 4095]:
+            for x in [10.0 ** (e / 4) for e in range(-12, 18)] + [
+                dof * f for f in (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 1.5, 2.0)
+            ]:
+                reference = float(chi2.sf(x, dof))
+                if reference < 1e-300:
+                    continue
+                assert sampling._chi2_sf(dof, x) == pytest.approx(
+                    reference, rel=1e-11, abs=0.0
+                ), (dof, x)
+
+    def test_tail_closed_forms_are_exact(self):
+        """Past the mean, dof 2 is exp(-x/2) and dof 1 is erfc(sqrt(x/2))."""
+        for x in [1.0, 1.5, 2.0, 2.5, 7.0, 33.3, 100.0, 700.0, 1500.0, 1e300]:
+            assert sampling._chi2_sf(1, x) == math.erfc(math.sqrt(x / 2))
+            if x >= 2.0:
+                assert sampling._chi2_sf(2, x) == math.exp(-x / 2)
+
+    def test_tail_edge_cases(self):
+        """The edge values of scipy.stats.chi2.sf; a NaN statistic fails."""
+        for dof in (1, 2, 3, 100):
+            for x in (0.0, -1.0, -math.inf, 5e-324):
+                assert sampling._chi2_sf(dof, x) == 1.0
+            assert sampling._chi2_sf(dof, math.inf) == 0.0
+            assert math.isnan(sampling._chi2_sf(dof, math.nan))
+        with pytest.raises(ValueError, match="dof >= 1"):
+            sampling._chi2_sf(0, 1.0)
+        result = sampling.ChiSquareResult(
+            statistic=math.nan, dof=3, p_value=sampling._chi2_sf(3, math.nan),
+            n_buckets=4,
+        )
+        assert not result.passed
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        dof=st.integers(1, 4096),
+        xs=st.lists(st.floats(0.0, 2e4), min_size=2, max_size=2),
+    )
+    def test_tail_properties(self, dof, xs):
+        """In [0, 1], falls with x and rises with dof (both up to the 1e-11
+        accuracy: roundoff in the exponent moves the tail by about 2e-12
+        between neighbouring floats), and agrees with scipy.stats."""
+        lo, hi = sorted(xs)
+        p_lo, p_hi = sampling._chi2_sf(dof, lo), sampling._chi2_sf(dof, hi)
+        assert 0.0 <= p_hi <= 1.0 and 0.0 <= p_lo <= 1.0
+        assert p_hi <= p_lo * (1 + 1e-11)
+        assert sampling._chi2_sf(dof + 1, lo) >= p_lo * (1 - 1e-11)
+        assert math.isclose(p_lo, chi2.sf(lo, dof), rel_tol=1e-11, abs_tol=1e-300)
 
     def test_low_probability_tail_is_pooled(self):
         state = make_state(thermal_blocks(1.0), T_HALF)
