@@ -10,12 +10,12 @@ spectrum.  The construction runs through the Autonne-Takagi
 factorization of Y = -B (A*)^-1 = W tanh(L_r) W^T, which is symmetric
 for every valid symplectic pair; recovering V from A then makes both
 reconstructions exact by construction, including inside degenerate
-squeeze subspaces (the degenerate-block similarity in the Takagi step is
-the joint re-diagonalization that keeps them consistent).
+squeeze subspaces.
 
-Real symmetric kernels, which every example config produces, are
-factored with numpy alone.  Only the complex branch of ``takagi`` loads
-``scipy.linalg`` (for ``sqrtm``), on first use.
+Everything runs on numpy alone.  A real symmetric kernel, which every
+example config produces, is factored by its eigendecomposition; a complex
+one by the eigendecomposition of a real symmetric embedding of twice its
+size (see ``takagi``).
 """
 
 from __future__ import annotations
@@ -42,13 +42,19 @@ class ReconstructionError(RuntimeError):
 _SQUEEZE_CLAMP = 1e-12
 
 
-def takagi(mat, rounding=13):
+def takagi(mat):
     """Autonne-Takagi factorization N = U diag(d) U^T of a symmetric matrix.
+
+    A complex N = X + iY is factored through the real symmetric embedding
+    H = [[X, Y], [Y, -X]], whose eigenvalues come in pairs +-d: each +d
+    eigenvector (x; y) gives a column u = x + iy with N conj(u) = d u.
+    Near d = 0 the +d and -d eigenvectors mix, so a QR step
+    re-orthonormalizes the columns in descending order of d.  It moves a
+    column by about eps/d, so its term d u u^T by about eps, and it
+    completes the columns of zero singular values to an orthonormal basis.
 
     Args:
         mat (array): complex symmetric matrix
-        rounding (int): decimals used when grouping degenerate singular
-            values
 
     Returns:
         tuple[array, array]: singular values in descending order and the
@@ -75,26 +81,14 @@ def takagi(mat, rounding=13):
         order = np.argsort(-mags, kind="stable")
         return mags[order], u[:, order]
 
-    # Only this branch needs scipy; no real-symmetric input reaches it.
-    from scipy.linalg import sqrtm
-
-    v, d, wh = np.linalg.svd(n)
-    w = wh.conj().T
-    # Couple the left and right singular vectors blockwise; within a
-    # degenerate block the coupling matrix is unitary symmetric and its
-    # principal square root realigns the block.
-    roots = np.zeros((dim, dim), dtype=complex)
-    start = 0
-    rounded = np.round(d, rounding)
-    while start < dim:
-        stop = start + 1
-        while stop < dim and rounded[stop] == rounded[start]:
-            stop += 1
-        block = v[:, start:stop].T @ w[:, start:stop]
-        roots[start:stop, start:stop] = sqrtm(block)
-        start = stop
-    u = v @ np.conj(roots)
-    return d, u
+    x, y = n.real, n.imag
+    vals, vecs = np.linalg.eigh(np.block([[x, y], [y, -x]]))
+    # eigh sorts ascending, so the top half holds +d in reverse order.
+    d = np.maximum(vals[dim:][::-1], 0.0)
+    top = vecs[:, dim:][:, ::-1]
+    # LAPACK's R has a real diagonal, so Q flips a column's sign at most,
+    # which keeps it a Takagi vector.
+    return d, np.linalg.qr(top[:dim] + 1j * top[dim:])[0]
 
 
 @dataclass

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import svdvals
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import sqrtm, svdvals
 
 from hybrid_sampler import bdg, blochmessiah, model, pipeline
 from hybrid_sampler.bdg import BogoliubovDecomposition
@@ -14,8 +16,8 @@ from conftest import squeeze_blocks, stable_instance, two_mode_squeeze_blocks
 np.random.seed(21)
 
 
-def random_unitary(n):
-    mat = np.random.randn(n, n) + 1j * np.random.randn(n, n)
+def random_unitary(n, rng=np.random):
+    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(mat)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -39,6 +41,73 @@ def geometry_config(**over):
     }
     base.update(over)
     return model.config_from_dict(base)
+
+
+def takagi_svd_sqrtm(mat):
+    """The earlier Takagi route, kept as an oracle: SVD, then the
+    principal square root of the singular-vector coupling of each block of
+    singular values equal to 13 decimals."""
+    v, d, wh = np.linalg.svd(mat)
+    w = wh.conj().T
+    dim = d.size
+    roots = np.zeros((dim, dim), dtype=complex)
+    rounded = np.round(d, 13)
+    start = 0
+    while start < dim:
+        stop = start + 1
+        while stop < dim and rounded[stop] == rounded[start]:
+            stop += 1
+        roots[start:stop, start:stop] = sqrtm(v[:, start:stop].T @ w[:, start:stop])
+        start = stop
+    return d, v @ np.conj(roots)
+
+
+def takagi_kernel(rng, n, spectrum):
+    """U diag(spectrum) U^T for a random unitary U."""
+    u = random_unitary(n, rng)
+    mat = (u * np.asarray(spectrum)) @ u.T
+    return 0.5 * (mat + mat.T)
+
+
+def near_real_kernel(rng, n):
+    """A real symmetric matrix plus an imaginary part twice the size below
+    which ``takagi`` takes its real branch."""
+    x = rng.normal(size=(n, n))
+    x = x + x.T
+    signs = np.sign(rng.normal(size=(n, n)))
+    return x + 2e-14j * max(1.0, np.max(np.abs(x))) * 0.5 * (signs + signs.T)
+
+
+def assert_takagi(mat, expected_d):
+    """Spectrum to 1e-12, U diag(d) U^T = N to 1e-12 |N| and U^H U = I to
+    1e-12."""
+    d, u = blochmessiah.takagi(mat)
+    scale = np.max(np.abs(mat))
+    np.testing.assert_allclose(d, expected_d, rtol=0, atol=1e-12 * max(1.0, scale))
+    assert np.all(np.diff(d) <= 0) and np.all(d >= 0)
+    np.testing.assert_allclose((u * d) @ u.T, mat, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(d.size), rtol=0, atol=1e-12)
+    return d, u
+
+
+def assert_matches_oracle(mat):
+    """The factors agree with the SVD + sqrtm route: equal singular values
+    and, where that route is itself a Takagi factorization to 1e-12, the
+    same Takagi vectors up to the real orthogonal mixing that a degenerate
+    block leaves free.  That route fails where rounding to 13 decimals
+    splits a degenerate block, as for the spectrum [0.3, 6.103515625e-05,
+    6.103515625e-05]."""
+    d_ref, u_ref = takagi_svd_sqrtm(mat)
+    d, u = assert_takagi(mat, d_ref)
+    if np.max(np.abs((u_ref * d_ref) @ u_ref.T - mat)) > 1e-12 * np.max(np.abs(mat)):
+        return
+    # Vectors of singular values within 1e-6 of each other, or of zero,
+    # may mix by eps/gap, so they are compared as blocks.
+    keep = d_ref > 1e-6 * d_ref[0]
+    overlap = u_ref[:, keep].conj().T @ u[:, keep]
+    same = np.abs(d_ref[keep][:, None] - d_ref[keep][None, :]) <= 1e-6 * d_ref[0]
+    assert np.max(np.abs(overlap.imag)) < 1e-9
+    assert np.max(np.abs(overlap[~same]), initial=0.0) < 1e-9
 
 
 class TestTakagi:
@@ -90,6 +159,90 @@ class TestTakagi:
         d, u = blochmessiah.takagi(mat)
         np.testing.assert_allclose(d, [0.8, 0.8, 0.3], atol=1e-12)
         np.testing.assert_allclose(u @ np.diag(d) @ u.T, mat, atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_degenerate_spectra_match_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            spectrum = rng.choice([0.3, 0.8, 2.0], size=n)
+            assert_matches_oracle(takagi_kernel(rng, n, spectrum))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rank_deficient_match_oracle(self, n):
+        """1 to n-1 zero singular values: U is completed to a unitary."""
+        rng = np.random.default_rng(200 + n)
+        for zeros in range(1, n):
+            for _ in range(5):
+                spectrum = rng.uniform(0.1, 3.0, size=n)
+                spectrum[rng.permutation(n)[:zeros]] = 0.0
+                assert_matches_oracle(takagi_kernel(rng, n, spectrum))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_near_real_match_oracle(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            assert_matches_oracle(near_real_kernel(rng, n))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_near_real_with_opposite_eigenvalues(self, n):
+        """A real part with eigenvalues 0 and +-lambda, plus an imaginary
+        part just above the real-branch threshold.  The SVD + sqrtm route
+        can split the near-degenerate pair between its rounding groups and
+        then misses N by up to O(1), so numpy's singular values are the
+        reference."""
+        rng = np.random.default_rng(400 + n)
+        x = rng.normal(size=(n, n))
+        vals, vecs = np.linalg.eigh(x + x.T)
+        vals[0], vals[1] = 0.0, -vals[2]
+        x = (vecs * vals) @ vecs.T
+        mat = 0.5 * (x + x.T) + 2e-14j * max(1.0, np.max(np.abs(x)))
+        assert_takagi(mat, np.linalg.svd(mat, compute_uv=False))
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-10, 1e-13, 1e-17])
+    def test_tiny_singular_values(self, scale):
+        """Singular values far below the largest keep U unitary."""
+        rng = np.random.default_rng(7)
+        for n in range(2, 9):
+            spectrum = rng.uniform(0.5, 2.0, size=n)
+            spectrum[n // 2:] *= scale
+            mat = takagi_kernel(rng, n, spectrum)
+            assert_takagi(mat, np.linalg.svd(mat, compute_uv=False))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(2, 8),
+        values=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.3, 0.8, 2.0]), st.floats(0.0, 3.0)),
+            min_size=8,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        near_real=st.booleans(),
+    )
+    def test_matches_oracle_property(self, n, values, seed, near_real):
+        assume(near_real or max(values[:n]) > 0.0)
+        rng = np.random.default_rng(seed)
+        if near_real:
+            mat = near_real_kernel(rng, n)
+        else:
+            mat = takagi_kernel(rng, n, values[:n])
+        assert_matches_oracle(mat)
+
+    @pytest.mark.parametrize("imag", [0.0, 1e-14])
+    def test_real_input_keeps_real_branch_bits(self, imag):
+        """A real kernel, also one with an imaginary part at the threshold,
+        gives the eigenvectors of its real part with i-phases on negative
+        eigenvalues, bit for bit."""
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(5, 5))
+        x = 0.5 * (x + x.T)
+        vals, vecs = np.linalg.eigh(x)
+        order = np.argsort(-np.abs(vals), kind="stable")
+        u_ref = (vecs.astype(complex) * np.where(vals >= 0, 1.0, 1.0j))[:, order]
+        scale = max(1.0, np.max(np.abs(x)))
+        d, u = blochmessiah.takagi(x + 1j * imag * scale * np.ones((5, 5)))
+        np.testing.assert_array_equal(d, np.abs(vals)[order])
+        np.testing.assert_array_equal(u, u_ref)
 
 
 class TestBlochMessiah:

@@ -1,10 +1,11 @@
 """The package and its command line import numpy and the standard library only.
 
 Running ``pdf``, ``haf`` and ``validate`` on the example configs loads no
-scipy module either: the chi-square p-value is computed with ``math``.  Only
-the degenerate complex Takagi branch loads ``scipy.linalg``, and no example
-config reaches it.  Each check runs in a fresh interpreter, because this
-test process has scipy loaded already.
+scipy module either: the chi-square p-value is computed with ``math``.  Nor
+do ``decompose``, ``pdf`` and ``validate`` on ``data/complex_three_mode.json``,
+whose complex squeeze kernel takes the complex Takagi branch.  Each check
+runs in a fresh interpreter, because this test process has scipy loaded
+already.
 """
 
 import json
@@ -14,13 +15,14 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 CONFIGS = os.path.join(ROOT, "configs")
+COMPLEX = os.path.join(ROOT, "tests", "data", "complex_three_mode.json")
 
 SCRIPT = """
 import contextlib, io, json, sys
 
 import hybrid_sampler.cli as cli
 
-configs = sys.argv[1]
+configs, complex_config = sys.argv[1:3]
 
 
 def scipy_modules():
@@ -38,6 +40,12 @@ report["haf"] = run(["haf", "--matrix", configs + "/ones4.json"])
 report["after_pdf_haf"] = scipy_modules()
 report["validate"] = run(["validate", "--config", configs + "/cavity_condensate.json"])
 report["after_validate"] = scipy_modules()
+report["complex"] = [
+    run(["decompose", "--config", complex_config]),
+    run(["pdf", "--config", complex_config, "--cutoff", "3"]),
+    run(["validate", "--config", complex_config]),
+]
+report["after_complex"] = scipy_modules()
 print(json.dumps(report))
 """
 
@@ -47,7 +55,7 @@ def _run_script():
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, CONFIGS],
+        [sys.executable, "-c", SCRIPT, CONFIGS, COMPLEX],
         env=env,
         capture_output=True,
         text=True,
@@ -65,3 +73,6 @@ def test_cli_loads_scipy_only_on_demand():
     # validate reaches chi_square on this config.
     assert report["validate"] == 0
     assert report["after_validate"] == []
+    # decompose and validate factor a complex kernel here.
+    assert report["complex"] == [0, 0, 0]
+    assert report["after_complex"] == []
