@@ -89,7 +89,9 @@ class QuadraticHamiltonian:
 
     @property
     def hermiticity_residual(self):
-        return float(np.max(np.abs(self.h - self.h.conj().T)))
+        """max |K - K^H| of the dynamical form K, which is Hermitian."""
+        k = self.dynamical
+        return float(np.max(np.abs(k - k.conj().T)))
 
 
 def assemble_hamiltonian(blocks):
@@ -144,6 +146,9 @@ def assemble_hamiltonian(blocks):
     h = np.block([[chit, top], [top.conj(), chit.conj()]])
     residual = np.max(np.abs(h - h.conj().T))
     if residual <= _LAYOUT_TOL * scale:
+        # Only real models get here, and their h is Hermitian already; the
+        # sum turns the -0.0 imaginary parts of the conjugated blocks into
+        # 0.0, which the build payload prints.
         h = 0.5 * (h + h.conj().T)
     return QuadraticHamiltonian(h=h, m_a=m_a, m_ph=m_ph)
 

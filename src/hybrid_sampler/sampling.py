@@ -363,7 +363,7 @@ def sample(dist, n_samples, seed):
         seed (int): 64-bit PRNG key
 
     Returns:
-        list[CountsVector]
+        list[CountsVector]; draws of one outcome share one CountsVector
 
     Raises:
         TruncationError: captured mass <= 0.99, too lossy to renormalize.
@@ -382,10 +382,11 @@ def sample(dist, n_samples, seed):
     cdf = np.cumsum(dist.probabilities.ravel() / dist.captured_mass)
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    draws = rng.random(n_samples)
-    indices = np.searchsorted(cdf, draws, side="right")
-    outcomes = dist.outcomes()
-    return [outcomes[int(i)] for i in indices]
+    indices = np.searchsorted(cdf, rng.random(n_samples), side="right")
+    draws = np.fromiter(dist.outcomes(), dtype=object, count=cdf.size)[indices]
+    # At most two n-length arrays are alive at once.
+    del indices
+    return draws.tolist()
 
 
 def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
@@ -393,7 +394,8 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
 
     Outcomes whose expected count falls below ``min_expected`` are pooled
     into a tail bucket (merged into the last retained bucket when the
-    tail itself stays below the minimum).
+    tail itself stays below the minimum).  Draws are counted by value:
+    equal CountsVectors share a bucket whether or not they are one object.
 
     Args:
         dist (OutcomeDistribution): reference distribution
@@ -410,7 +412,19 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
     if not samples:
         raise ValueError("no samples given")
     n = len(samples)
-    observed = Counter(samples)
+    # Hashing a CountsVector runs Python code, so the draws are counted by
+    # object in numpy first and the few distinct objects merged by value.
+    # The ids are sorted in place, so two n-length arrays are alive at once;
+    # sorted order is unique, so order[j] is a draw whose id is ids[j].
+    ids = np.fromiter(map(id, samples), dtype=np.uintp, count=n)
+    order = ids.argsort(kind="stable")
+    ids.sort()
+    heads = np.append(0, np.flatnonzero(ids[1:] != ids[:-1]) + 1)
+    firsts = order[heads].tolist()
+    del ids, order
+    observed = Counter()
+    for position, count in zip(firsts, np.diff(heads, append=n).tolist()):
+        observed[samples[position]] += count
 
     retained = []
     tail_expected = 0.0

@@ -73,6 +73,13 @@ class TestAssembly:
         np.testing.assert_array_equal(ham.dynamical[2:], ham.h[:2])
         assert np.max(np.abs(ham.dynamical - ham.dynamical.conj().T)) < 1e-12
 
+    def test_hermiticity_residual_reads_the_dynamical_form(self, rng):
+        """The stored layout of a complex model is not Hermitian, but its
+        dynamical form is, to the bit."""
+        ham = bdg.assemble_hamiltonian(random_coupling_blocks(rng, 2, 1))
+        assert np.max(np.abs(ham.h - ham.h.conj().T)) > 1e-3
+        assert ham.hermiticity_residual == 0.0
+
     def test_complex_pair_coupling_rejected(self):
         blocks = two_mode_squeeze_blocks(1.0, 0.4)
         blocks.chit_pha = np.array([[0.4j]])

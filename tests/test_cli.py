@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from hybrid_sampler import model, pipeline, sampling
+from hybrid_sampler import bdg, model, pipeline, sampling
 from hybrid_sampler.cli import _validate_cutoff, main
 
 T_HALF = 1.0 / math.log(2.0)
@@ -426,6 +426,35 @@ class TestValidate:
         )
         assert main(["validate", "--config", config]) == 0
         assert expected in capsys.readouterr().out.splitlines()
+
+    def test_hamiltonian_line_reads_the_dynamical_form(self, capsys):
+        """A complex model's block-swapped layout is not Hermitian; the
+        residual validate prints is that of the Hermitian dynamical form."""
+        config = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "data", "complex_three_mode.json"
+        )
+        assert main(["validate", "--config", config]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS: hamiltonian assembled, layout residual 0.000e+00" in lines
+
+    def test_non_hermitian_hamiltonian_fails(self, tmp_path, capsys, monkeypatch):
+        """The Hamiltonian check compares against its limit and names it."""
+        assemble = bdg.assemble_hamiltonian
+
+        def skewed(blocks):
+            ham = assemble(blocks)
+            ham.h[0, 1] += 1e-9
+            return ham
+
+        monkeypatch.setattr(bdg, "assemble_hamiltonian", skewed)
+        config = write_config(tmp_path, VACUUM)
+        assert main(["validate", "--config", config]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "FAIL: hamiltonian not Hermitian: dynamical form residual 1.000e-09 "
+            "above the limit 1e-12" in out.splitlines()
+        )
+        assert "validation FAILED" in out
 
     def test_unstable_fails(self, tmp_path, capsys):
         config = write_config(tmp_path, UNSTABLE)

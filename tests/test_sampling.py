@@ -1,7 +1,10 @@
 """Outcome probabilities, enumeration, sampling and goodness of fit."""
 
+import hashlib
 import itertools
 import math
+import os
+import random
 import tracemalloc
 
 import numpy as np
@@ -10,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from hybrid_sampler import bdg, gaussian, sampling
+from hybrid_sampler import bdg, gaussian, model, pipeline, sampling
 from hybrid_sampler.gaussian import CountsVector, extend_matrix
 from hybrid_sampler.hafnian import hafnian_naive
 
 from conftest import (
+    direct_config,
     squeeze_blocks,
     stable_instance,
     thermal_blocks,
@@ -583,3 +587,102 @@ class TestRoundoffFloor:
     def test_single_outcome_refused(self):
         with pytest.raises(ValueError, match=self.MESSAGE):
             sampling.outcome_probability(self.invalid_state(), (1,))
+
+
+CAVITY_FILE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "configs", "cavity_condensate.json"
+)
+
+
+def cavity_distribution():
+    with open(CAVITY_FILE, encoding="utf-8") as handle:
+        cfg = model.load_config(handle.read())
+    return pipeline.distribution(cfg, 3)
+
+
+def random_distribution():
+    """A seeded complex model with two atom modes and one photon mode at
+    cutoff 3, the shape of the random state the query benchmark samples."""
+    blocks, _, _ = stable_instance(np.random.default_rng(31337), 2, 1)
+    return pipeline.distribution(direct_config(blocks, 0.45), 3)
+
+
+def draw_digest(draws):
+    keys = np.array([d.key() for d in draws], dtype="<i8")
+    return hashlib.sha256(keys.tobytes()).hexdigest()
+
+
+def result_fields(result):
+    return (result.statistic, result.dof, result.p_value, result.n_buckets)
+
+
+def assert_fields_near(result, want):
+    """dof and bucket count exactly, the floats to 1e-12: their last bits
+    follow the LAPACK build through the enumerated probabilities."""
+    statistic, dof, p_value, n_buckets = want
+    assert (result.dof, result.n_buckets) == (dof, n_buckets)
+    assert result.statistic == pytest.approx(statistic, rel=1e-12, abs=0.0)
+    assert result.p_value == pytest.approx(p_value, rel=1e-12, abs=0.0)
+
+
+class TestPinnedDraws:
+    """1e5 draws pinned by digest, and their chi-square verdicts: a change
+    to how draws are made or counted must not move a single draw."""
+
+    def test_cavity_condensate(self):
+        dist = cavity_distribution()
+        draws = sampling.sample(dist, 100_000, seed=20240601)
+        assert draw_digest(draws) == (
+            "605fe5982a87174e8b9751d98fa162e6cdb8eed18e5874bc1289ef4e1b660d28"
+        )
+        assert_fields_near(
+            sampling.chi_square(dist, draws), (4.375954615539916, 6, 0.6259392886938953, 7)
+        )
+
+    def test_random_three_mode_model(self):
+        dist = random_distribution()
+        draws = sampling.sample(dist, 100_000, seed=2**64 - 1)
+        assert draw_digest(draws) == (
+            "7d57910f257d2bc5506e6b18d93a52927bc5e559c131ddd3635831001e95b009"
+        )
+        assert_fields_near(
+            sampling.chi_square(dist, draws), (20.45532986518777, 20, 0.4297898420365767, 21)
+        )
+
+    def test_draws_of_one_outcome_share_one_object(self):
+        dist = cavity_distribution()
+        draws = sampling.sample(dist, 10_000, seed=5)
+        assert len({id(d) for d in draws}) == len(set(draws))
+
+
+class TestCountingByValue:
+    """chi_square counts equal CountsVectors together, whatever the object
+    identity and order of the draws: every field agrees bit for bit."""
+
+    @staticmethod
+    def copies(draws):
+        return [CountsVector(atoms=tuple(d.atoms), photons=tuple(d.photons)) for d in draws]
+
+    def test_shared_copied_and_mixed_draws_agree(self):
+        dist = cavity_distribution()
+        shared = sampling.sample(dist, 100_000, seed=20240601)
+        fresh = self.copies(shared)
+        assert not any(a is b for a, b in zip(shared, fresh))
+        mixed = shared[::2] + fresh[1::2]
+        random.Random(3).shuffle(mixed)
+        want = result_fields(sampling.chi_square(dist, shared))
+        for draws in (fresh, mixed):
+            assert result_fields(sampling.chi_square(dist, draws)) == want
+
+    def test_draws_outside_the_lattice_join_the_tail(self):
+        """Counts above the cutoff land in the tail bucket, shared or not."""
+        dist = cavity_distribution()
+        shared = sampling.sample(dist, 100_000, seed=20240601)
+        outside = [CountsVector(atoms=(4,), photons=(0, 1))] * 30 + [
+            CountsVector(atoms=(0,), photons=(5, 0))
+        ] * 15
+        mixed = self.copies(shared[:50_000]) + shared[50_000:] + self.copies(outside)
+        random.Random(4).shuffle(mixed)
+        result = sampling.chi_square(dist, shared + outside)
+        assert result_fields(sampling.chi_square(dist, mixed)) == result_fields(result)
+        assert_fields_near(result, (114.08237862105821, 6, 2.843791486257541e-22, 7))
