@@ -11,7 +11,7 @@ coupling and ``chi_t`` the pair coupling.  The same form reordered over
 ``(c, c^dag)`` gives the Hermitian dynamical matrix ``K`` obtained by
 swapping the block rows of ``H``; ``K`` is positive definite exactly when
 the system is thermodynamically stable, which is what the Cholesky route
-below relies on.
+below relies on: a form whose factorization fails is refused as unstable.
 
 The diagonalizing transform follows the standard Cholesky method:
 factor ``K = L L^dag``, diagonalize ``L^dag J L`` with ``J =
@@ -41,17 +41,24 @@ __all__ = [
     "check_stability",
     "bogoliubov_diagonalize",
     "symplectic_metric",
+    "STABILITY_LIMIT",
 ]
 
 _LAYOUT_TOL = 1e-12
 _DEGENERACY_TOL = 1e-12
+
+# Smallest quasiparticle energy accepted as stable, relative to ||K||_2 of
+# the dynamical form.
+STABILITY_LIMIT = 1e-10
 
 
 class InstabilityError(RuntimeError):
     """The quadratic form has no positive quasiparticle spectrum.
 
     Attributes:
-        eigenvalue: the offending symplectic eigenvalue, when available.
+        eigenvalue: the offending eigenvalue: a symplectic eigenvalue, or
+            the smallest eigenvalue of K when its Cholesky factorization
+            fails.
     """
 
     def __init__(self, message, eigenvalue=None):
@@ -239,71 +246,19 @@ def _order_degenerate(t1, energies, scale):
     return t1[:, order], energies[order]
 
 
-def _columns_from_jk(k, m, scale, tol):
-    """Fallback eigen-route on J K for marginally definite forms."""
-    jk = k.copy()
-    jk[m:] *= -1.0
-    lam, vec = np.linalg.eig(jk)
-    worst = np.max(np.abs(lam.imag)) if lam.size else 0.0
-    if worst > tol * scale:
-        bad = lam[int(np.argmax(np.abs(lam.imag)))]
-        raise InstabilityError(
-            "complex symplectic eigenvalue %r (imaginary part %.3e exceeds "
-            "tolerance)" % (bad, worst),
-            eigenvalue=bad,
-        )
-    lam = lam.real
-    pos = np.nonzero(lam > tol * scale)[0]
-    if pos.size != m:
-        nearest = lam[int(np.argmin(np.abs(lam)))]
-        raise InstabilityError(
-            "expected %d positive quasiparticle energies, found %d "
-            "(eigenvalue %.3e at the stability margin)" % (m, pos.size, nearest),
-            eigenvalue=nearest,
-        )
-    order = pos[np.argsort(lam[pos], kind="stable")]
-    energies = lam[order]
-    t1 = vec[:, order].astype(complex)
-
-    jdiag = np.concatenate([np.ones(m), -np.ones(m)])
-    start = 0
-    while start < m:
-        stop = start + 1
-        while (
-            stop < m
-            and energies[stop] - energies[start] <= _DEGENERACY_TOL * max(1.0, scale)
-        ):
-            stop += 1
-        for i in range(start, stop):
-            for j in range(start, i):
-                overlap = np.dot(t1[:, j].conj() * jdiag, t1[:, i])
-                t1[:, i] -= overlap * t1[:, j]
-            norm = np.dot(t1[:, i].conj() * jdiag, t1[:, i]).real
-            if norm <= tol * max(1.0, scale):
-                raise InstabilityError(
-                    "quasiparticle mode with vanishing symplectic norm "
-                    "(energy %.3e); the form is at the stability margin" % energies[i],
-                    eigenvalue=energies[i],
-                )
-            t1[:, i] /= np.sqrt(norm)
-        start = stop
-    return energies, t1
-
-
-def bogoliubov_diagonalize(ham, *, tol_stability=1e-10):
+def bogoliubov_diagonalize(ham):
     """Diagonalize a stable quadratic Hamiltonian.
 
     Args:
         ham (QuadraticHamiltonian): assembled Hamiltonian
-        tol_stability (float): scale-relative threshold on imaginary
-            parts and near-zero symplectic eigenvalues
 
     Returns:
         BogoliubovDecomposition
 
     Raises:
-        InstabilityError: when the dynamical form is not positive
-            definite, carrying the offending eigenvalue.
+        InstabilityError: when the dynamical form K fails its Cholesky
+            factorization or the lowest quasiparticle energy is not above
+            STABILITY_LIMIT * ||K||_2, carrying the offending eigenvalue.
     """
     m = ham.m
     k = ham.dynamical
@@ -313,30 +268,36 @@ def bogoliubov_diagonalize(ham, *, tol_stability=1e-10):
     try:
         chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
-        energies, t1 = _marginal_route(k, m, scale, tol_stability)
-    else:
-        jl = chol.copy()
-        jl[m:] *= -1.0
-        core = chol.conj().T @ jl
-        core = 0.5 * (core + core.conj().T)
-        lam, u = np.linalg.eigh(core)
-        if lam[m - 1] >= 0 or lam[m] <= 0:
-            nearest = lam[int(np.argmin(np.abs(lam)))]
-            raise InstabilityError(
-                "symplectic spectrum does not split into %d positive and %d "
-                "negative branches (eigenvalue %.3e)" % (m, m, nearest),
-                eigenvalue=nearest,
-            )
-        energies = lam[m:]
-        if energies[0] <= tol_stability * scale:
-            raise InstabilityError(
-                "quasiparticle energy %.3e is not positive at tolerance" % energies[0],
-                eigenvalue=energies[0],
-            )
-        t1 = np.linalg.solve(chol.conj().T, u[:, m:])
-        t1 = t1 * np.sqrt(energies)[None, :]
+        min_eig = float(np.linalg.eigvalsh(k)[0])
+        raise InstabilityError(
+            "dynamical form K failed its Cholesky factorization: smallest "
+            "eigenvalue %.3e with ||K||_2 = %.3e, so no positive "
+            "quasiparticle spectrum exists" % (min_eig, scale),
+            eigenvalue=min_eig,
+        ) from None
+    jl = chol.copy()
+    jl[m:] *= -1.0
+    core = chol.conj().T @ jl
+    core = 0.5 * (core + core.conj().T)
+    lam, u = np.linalg.eigh(core)
+    if lam[m - 1] >= 0 or lam[m] <= 0:
+        nearest = lam[int(np.argmin(np.abs(lam)))]
+        raise InstabilityError(
+            "symplectic spectrum does not split into %d positive and %d "
+            "negative branches (eigenvalue %.3e)" % (m, m, nearest),
+            eigenvalue=nearest,
+        )
+    energies = lam[m:]
+    if energies[0] <= STABILITY_LIMIT * scale:
+        raise InstabilityError(
+            "quasiparticle energy %.3e is not above the stability limit "
+            "%.0e * ||K||_2 = %.3e"
+            % (energies[0], STABILITY_LIMIT, STABILITY_LIMIT * scale),
+            eigenvalue=energies[0],
+        )
+    t1 = np.linalg.solve(chol.conj().T, u[:, m:])
+    t1 = t1 * np.sqrt(energies)[None, :]
 
-    t1 = np.ascontiguousarray(t1)
     t1 = _fix_column_phases(t1)
     t1, energies = _order_degenerate(t1, energies, scale)
 
@@ -351,18 +312,6 @@ def bogoliubov_diagonalize(ham, *, tol_stability=1e-10):
         m_a=ham.m_a,
         m_ph=ham.m_ph,
     )
-
-
-def _marginal_route(k, m, scale, tol):
-    """Cholesky failed; decide between instability and a marginal form."""
-    min_eig = float(np.linalg.eigvalsh(k).min()) if m else 0.0
-    if min_eig < -tol * max(1.0, scale):
-        raise InstabilityError(
-            "dynamical form has negative eigenvalue %.3e; the Hamiltonian "
-            "is unstable" % min_eig,
-            eigenvalue=min_eig,
-        )
-    return _columns_from_jk(k, m, scale, tol)
 
 
 @dataclass
@@ -382,13 +331,13 @@ class StabilityReport:
     detail: str = ""
 
 
-def check_stability(ham, *, tol_stability=1e-10):
+def check_stability(ham):
     """Assess a quadratic Hamiltonian without raising on instability."""
     hermitian_part = 0.5 * (ham.h + ham.h.conj().T)
     eigs = np.linalg.eigvalsh(hermitian_part)
     min_eig = float(eigs[0]) if eigs.size else 0.0
     try:
-        dec = bogoliubov_diagonalize(ham, tol_stability=tol_stability)
+        dec = bogoliubov_diagonalize(ham)
     except InstabilityError as exc:
         return StabilityReport(
             positive_definite=bool(min_eig > 0),

@@ -32,14 +32,19 @@ __all__ = [
     "squeeze_spectrum",
     "mode_functions",
     "takagi",
+    "RECONSTRUCTION_LIMIT",
 ]
 
 
 class ReconstructionError(RuntimeError):
-    """The factored form does not reproduce the input at tolerance."""
+    """The factored form does not reproduce the input within its limit."""
 
 
 _SQUEEZE_CLAMP = 1e-12
+
+# Largest residual of the reconstructed A and B accepted, relative to
+# max(1, max|A|).
+RECONSTRUCTION_LIMIT = 1e-9
 
 
 def takagi(mat):
@@ -130,21 +135,20 @@ def _fix_column_signs(w):
     return w
 
 
-def bloch_messiah(dec, *, tol_reconstruction=1e-9):
+def bloch_messiah(dec):
     """Factor a Bogoliubov decomposition into squeeze normal form.
 
     Args:
         dec (BogoliubovDecomposition): symplectic decomposition with
             coefficient matrices ``a`` and ``b``
-        tol_reconstruction (float): largest tolerated reconstruction
-            residual for A and B
 
     Returns:
         BlochMessiahFactors
 
     Raises:
         ReconstructionError: when the input pair is not symplectic enough
-            for the factored form to reproduce it.
+            for the factored form to reproduce it within
+            RECONSTRUCTION_LIMIT.
     """
     a, b = dec.a, dec.b
     m = a.shape[0]
@@ -185,10 +189,10 @@ def bloch_messiah(dec, *, tol_reconstruction=1e-9):
     residual = max(
         float(np.max(np.abs(a_rec - a))), float(np.max(np.abs(b_rec - b)))
     )
-    if residual > tol_reconstruction * max(1.0, float(np.max(np.abs(a)))):
+    if residual > RECONSTRUCTION_LIMIT * max(1.0, float(np.max(np.abs(a)))):
         raise ReconstructionError(
             "Bloch-Messiah reconstruction residual %.3e exceeds %.1e"
-            % (residual, tol_reconstruction)
+            % (residual, RECONSTRUCTION_LIMIT)
         )
     return factors
 

@@ -170,7 +170,7 @@ def _cmd_build(args):
     cfg, digest = _load_config(args.config)
     blocks, _ = model.coupling_blocks(cfg)
     ham = bdg.assemble_hamiltonian(blocks)
-    report = bdg.check_stability(ham, tol_stability=args.tol_stability)
+    report = bdg.check_stability(ham)
     payload = {
         "mode": cfg.mode,
         "m_a": cfg.m_a,
@@ -187,20 +187,13 @@ def _cmd_build(args):
         "hermiticity_residual": ham.hermiticity_residual,
         "stability": asdict(report),
     }
-    return _emit(
-        args,
-        _json_text(payload),
-        digest=digest,
-        parameters={"tol_stability": args.tol_stability},
-    )
+    return _emit(args, _json_text(payload), digest=digest)
 
 
 def _cmd_decompose(args):
     cfg, digest = _load_config(args.config)
-    dec = pipeline.decomposition(cfg, tol_stability=args.tol_stability)
-    factors = pipeline.squeeze_factors(
-        cfg, dec=dec, tol_reconstruction=args.tol_reconstruction
-    )
+    dec = pipeline.decomposition(cfg)
+    factors = pipeline.squeeze_factors(cfg, dec=dec)
     payload = {
         "m_a": cfg.m_a,
         "m_ph": cfg.m_ph,
@@ -209,22 +202,12 @@ def _cmd_decompose(args):
         "v": model.encode_matrix(factors.v),
         "w": model.encode_matrix(factors.w),
     }
-    return _emit(
-        args,
-        _json_text(payload),
-        digest=digest,
-        parameters={
-            "tol_stability": args.tol_stability,
-            "tol_reconstruction": args.tol_reconstruction,
-        },
-    )
+    return _emit(args, _json_text(payload), digest=digest)
 
 
 def _cmd_covariance(args):
     cfg, digest = _load_config(args.config)
-    state = pipeline.gaussian_state(
-        cfg, tol_stability=args.tol_stability, tol_symmetry=args.tol_symmetry
-    )
+    state = pipeline.gaussian_state(cfg)
     payload = {
         "m_a": cfg.m_a,
         "m_ph": cfg.m_ph,
@@ -235,25 +218,12 @@ def _cmd_covariance(args):
         "log_norm": state.log_norm,
         "fingerprint": state.fingerprint(),
     }
-    return _emit(
-        args,
-        _json_text(payload),
-        digest=digest,
-        parameters={
-            "tol_stability": args.tol_stability,
-            "tol_symmetry": args.tol_symmetry,
-        },
-    )
+    return _emit(args, _json_text(payload), digest=digest)
 
 
 def _distribution(args, cfg):
-    state = pipeline.gaussian_state(
-        cfg, tol_stability=args.tol_stability, tol_symmetry=args.tol_symmetry
-    )
-    dist = sampling.enumerate_distribution(
-        state, args.cutoff, tol_imaginary=args.tol_imaginary
-    )
-    return state, dist
+    state = pipeline.gaussian_state(cfg)
+    return state, sampling.enumerate_distribution(state, args.cutoff)
 
 
 def _pdf_csv(dist):
@@ -286,9 +256,6 @@ def _cmd_pdf(args):
         parameters={
             "cutoff": args.cutoff,
             "photons_only": bool(args.photons_only),
-            "tol_stability": args.tol_stability,
-            "tol_symmetry": args.tol_symmetry,
-            "tol_imaginary": args.tol_imaginary,
         },
         meta=meta,
     )
@@ -297,22 +264,9 @@ def _cmd_pdf(args):
 def _cmd_prob(args):
     cfg, digest = _load_config(args.config)
     counts = _parse_counts(args.counts, cfg.m)
-    state = pipeline.gaussian_state(
-        cfg, tol_stability=args.tol_stability, tol_symmetry=args.tol_symmetry
-    )
-    value = sampling.outcome_probability(
-        state, counts, tol_imaginary=args.tol_imaginary
-    )
+    value = sampling.outcome_probability(pipeline.gaussian_state(cfg), counts)
     return _emit(
-        args,
-        repr(value) + "\n",
-        digest=digest,
-        parameters={
-            "counts": list(counts),
-            "tol_stability": args.tol_stability,
-            "tol_symmetry": args.tol_symmetry,
-            "tol_imaginary": args.tol_imaginary,
-        },
+        args, repr(value) + "\n", digest=digest, parameters={"counts": list(counts)}
     )
 
 
@@ -336,9 +290,6 @@ def _cmd_sample(args):
         parameters={
             "cutoff": args.cutoff,
             "n": args.n,
-            "tol_stability": args.tol_stability,
-            "tol_symmetry": args.tol_symmetry,
-            "tol_imaginary": args.tol_imaginary,
         },
         meta=meta,
     )
@@ -349,16 +300,16 @@ def _cmd_haf(args):
     dim = mat.shape[0] if mat.ndim == 2 else 0
     lines = []
     if dim <= _AGREEMENT_MAX_DIM:
-        naive = hafnian_naive(mat, tol_symmetry=args.tol_symmetry)
+        naive = hafnian_naive(mat)
         if dim >= 2:
-            power = hafnian_powertrace(mat, tol_symmetry=args.tol_symmetry)
+            power = hafnian_powertrace(mat)
             delta = abs(complex(naive) - complex(power))
             lines.append(_format_complex(naive))
             lines.append("power-trace agreement: %.3e" % delta)
         else:
             lines.append(_format_complex(naive))
     else:
-        value = hafnian_powertrace(mat, tol_symmetry=args.tol_symmetry)
+        value = hafnian_powertrace(mat)
         lines.append(_format_complex(value))
         lines.append(
             "power-trace agreement: skipped (size %d above the naive "
@@ -368,7 +319,7 @@ def _cmd_haf(args):
         args,
         "\n".join(lines) + "\n",
         digest=digest,
-        parameters={"size": dim, "tol_symmetry": args.tol_symmetry},
+        parameters={"size": dim},
     )
 
 
@@ -378,7 +329,7 @@ def _cmd_scatter_time(args):
     return _emit(args, repr(value) + "\n", digest=digest, parameters={})
 
 
-def _validate_lines(cfg, args):
+def _validate_lines(cfg):
     """Run the invariant suite; yield (passed, text) pairs."""
     checks = []
 
@@ -389,25 +340,23 @@ def _validate_lines(cfg, args):
 
     ham = bdg.assemble_hamiltonian(blocks)
     residual = ham.hermiticity_residual
-    # The passing line is part of every validate payload; its wording stays.
     if residual <= _HERMITICITY_LIMIT:
-        checks.append((True, "hamiltonian assembled, layout residual %.3e" % residual))
+        checks.append(
+            (True, "hamiltonian Hermitian: dynamical form residual max|K - K^H| "
+             "%.3e within the limit %.0e" % (residual, _HERMITICITY_LIMIT))
+        )
     else:
         checks.append(
             (False, "hamiltonian not Hermitian: dynamical form residual %.3e above "
              "the limit %.0e" % (residual, _HERMITICITY_LIMIT))
         )
 
-    report = bdg.check_stability(ham, tol_stability=args.tol_stability)
-    if report.stable:
-        checks.append(
-            (True, "stable: min quasiparticle energy %.6g" % report.min_quasiparticle_energy)
-        )
-    else:
-        checks.append((False, "unstable: %s" % report.detail))
+    try:
+        dec = bdg.bogoliubov_diagonalize(ham)
+    except bdg.InstabilityError as exc:
+        checks.append((False, "unstable: %s" % exc))
         return checks
-
-    dec = bdg.bogoliubov_diagonalize(ham, tol_stability=args.tol_stability)
+    checks.append((True, "stable: min quasiparticle energy %.6g" % dec.energies[0]))
     sym = dec.symplectic_residual()
     checks.append((sym < 1e-10, "symplectic identity residual %.3e" % sym))
     diag = dec.diagonalization_residual(ham)
@@ -420,9 +369,7 @@ def _validate_lines(cfg, args):
         (spec_delta < 1e-10, "spectrum cross-check difference %.3e" % spec_delta)
     )
 
-    factors = blochmessiah.bloch_messiah(
-        dec, tol_reconstruction=args.tol_reconstruction
-    )
+    factors = blochmessiah.bloch_messiah(dec)
     eye = np.eye(dec.m)
     uni = max(
         float(np.max(np.abs(factors.v.conj().T @ factors.v - eye))),
@@ -433,14 +380,16 @@ def _validate_lines(cfg, args):
     rec = max(
         float(np.max(np.abs(a_rec - dec.a))), float(np.max(np.abs(b_rec - dec.b)))
     )
-    checks.append((rec < args.tol_reconstruction, "squeeze reconstruction residual %.3e" % rec))
+    checks.append(
+        (rec < blochmessiah.RECONSTRUCTION_LIMIT, "squeeze reconstruction residual %.3e" % rec)
+    )
     sv = np.linalg.svd(dec.b, compute_uv=False)
     sv_delta = float(np.max(np.abs(np.sinh(factors.r) - sv))) if sv.size else 0.0
     checks.append(
         (sv_delta < 1e-9, "squeeze spectrum vs singular values %.3e" % sv_delta)
     )
 
-    state = gaussian.covariance(dec, cfg.temperature, tol_symmetry=args.tol_symmetry)
+    state = gaussian.covariance(dec, cfg.temperature)
     normal = state.g[: dec.m, : dec.m]
     herm = float(np.max(np.abs(normal - normal.conj().T)))
     min_eig = float(np.linalg.eigvalsh(0.5 * (normal + normal.conj().T))[0])
@@ -464,9 +413,7 @@ def _validate_lines(cfg, args):
     if cutoff is None:
         checks.append((True, "distribution checks skipped (lattice budget too small for M=%d)" % dec.m))
         return checks
-    dist = sampling.enumerate_distribution(
-        state, cutoff, tol_imaginary=args.tol_imaginary
-    )
+    dist = sampling.enumerate_distribution(state, cutoff)
     vacuum = dist.probability((0,) * dec.m)
     checks.append((True, "vacuum probability %r at cutoff %d" % (vacuum, cutoff)))
     checks.append(
@@ -512,7 +459,7 @@ def _validate_cutoff(state):
 
 def _cmd_validate(args):
     cfg, digest = _load_config(args.config)
-    checks = _validate_lines(cfg, args)
+    checks = _validate_lines(cfg)
     lines = []
     failed = 0
     for passed, text in checks:
@@ -522,17 +469,7 @@ def _cmd_validate(args):
         "validation %s (%d/%d checks passed)"
         % ("passed" if failed == 0 else "FAILED", len(checks) - failed, len(checks))
     )
-    code = _emit(
-        args,
-        "\n".join(lines) + "\n",
-        digest=digest,
-        parameters={
-            "tol_stability": args.tol_stability,
-            "tol_reconstruction": args.tol_reconstruction,
-            "tol_symmetry": args.tol_symmetry,
-            "tol_imaginary": args.tol_imaginary,
-        },
-    )
+    code = _emit(args, "\n".join(lines) + "\n", digest=digest)
     return 1 if failed else code
 
 
@@ -549,24 +486,10 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub, *, config=True, tols=()):
+def _add_common(sub, *, config=True):
     if config:
         sub.add_argument("--config", required=True, help="path to the JSON config")
     sub.add_argument("--out", help="write the payload to this file instead of stdout")
-    defaults = {
-        "stability": 1e-10,
-        "reconstruction": 1e-9,
-        "symmetry": 1e-8,
-        "imaginary": 1e-9,
-    }
-    for name in tols:
-        sub.add_argument(
-            "--tol-%s" % name,
-            type=float,
-            default=defaults[name],
-            dest="tol_%s" % name,
-            help="override the %s tolerance (default %g)" % (name, defaults[name]),
-        )
 
 
 def _build_parser():
@@ -579,16 +502,16 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("build", help="emit coupling blocks, Hamiltonian and stability")
-    _add_common(sub, tols=("stability",))
+    _add_common(sub)
 
     sub = subs.add_parser("decompose", help="emit energies, squeeze spectrum, V and W")
-    _add_common(sub, tols=("stability", "reconstruction"))
+    _add_common(sub)
 
     sub = subs.add_parser("covariance", help="emit G, C and mean occupations")
-    _add_common(sub, tols=("stability", "symmetry"))
+    _add_common(sub)
 
     sub = subs.add_parser("pdf", help="enumerate the joint count distribution as CSV")
-    _add_common(sub, tols=("stability", "symmetry", "imaginary"))
+    _add_common(sub)
     sub.add_argument("--cutoff", type=_nonnegative_int, required=True, help="largest count per mode")
     sub.add_argument(
         "--photons-only",
@@ -597,7 +520,7 @@ def _build_parser():
     )
 
     sub = subs.add_parser("prob", help="probability of a single counts vector")
-    _add_common(sub, tols=("stability", "symmetry", "imaginary"))
+    _add_common(sub)
     sub.add_argument(
         "--counts",
         required=True,
@@ -605,17 +528,17 @@ def _build_parser():
     )
 
     sub = subs.add_parser("sample", help="draw reproducible samples as CSV")
-    _add_common(sub, tols=("stability", "symmetry", "imaginary"))
+    _add_common(sub)
     sub.add_argument("--cutoff", type=_nonnegative_int, required=True, help="largest count per mode")
     sub.add_argument("--n", type=_nonnegative_int, required=True, help="number of draws")
     sub.add_argument("--seed", type=_seed, required=True, help="64-bit PRNG key")
 
     sub = subs.add_parser("haf", help="hafnian of a matrix JSON file")
     sub.add_argument("--matrix", required=True, help="path to the matrix JSON")
-    _add_common(sub, config=False, tols=("symmetry",))
+    _add_common(sub, config=False)
 
     sub = subs.add_parser("validate", help="run the invariant suite on a config")
-    _add_common(sub, tols=("stability", "reconstruction", "symmetry", "imaginary"))
+    _add_common(sub)
 
     sub = subs.add_parser("scatter-time", help="characteristic scattering-time estimate")
     _add_common(sub)

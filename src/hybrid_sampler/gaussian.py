@@ -24,7 +24,12 @@ __all__ = [
     "base_matrix",
     "extend_matrix",
     "mean_occupations",
+    "SYMMETRY_LIMIT",
 ]
+
+# Largest max|C - C^T| of the base matrix accepted, relative to
+# max(1, max|C|).
+SYMMETRY_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class GaussianState:
         return self._fingerprint
 
 
-def covariance(dec, temperature, *, tol_symmetry=1e-8):
+def covariance(dec, temperature):
     """Build the quasi-equilibrium Gaussian state from a diagonalization.
 
     Each quasiparticle mode j carries the thermal factor
@@ -99,8 +104,6 @@ def covariance(dec, temperature, *, tol_symmetry=1e-8):
     Args:
         dec (BogoliubovDecomposition): stable-phase diagonalization
         temperature (float): quasiparticle temperature, >= 0
-        tol_symmetry (float): largest tolerated asymmetry of the derived
-            base matrix
 
     Returns:
         GaussianState
@@ -120,7 +123,7 @@ def covariance(dec, temperature, *, tol_symmetry=1e-8):
     # G is Hermitian up to roundoff by construction.
     g = 0.5 * (g + g.conj().T)
 
-    c, log_norm = base_matrix(g, tol_symmetry=tol_symmetry)
+    c, log_norm = base_matrix(g)
     return GaussianState(
         g=g,
         temperature=float(temperature),
@@ -136,7 +139,7 @@ def mean_occupations(state):
     return state.mean_occupations()
 
 
-def base_matrix(g, *, tol_symmetry=1e-8):
+def base_matrix(g):
     """Base matrix C = P G (1 + G)^-1 and the state log-normalization.
 
     P swaps the creation/annihilation half-blocks; the product is
@@ -146,7 +149,6 @@ def base_matrix(g, *, tol_symmetry=1e-8):
     Args:
         g (array or GaussianState): 2M x 2M correlator matrix, or a state
             whose correlator matrix to use
-        tol_symmetry (float): largest tolerated asymmetry of C
 
     Returns:
         tuple[array, float]: the base matrix and log sqrt(det(1 + G)).
@@ -165,10 +167,12 @@ def base_matrix(g, *, tol_symmetry=1e-8):
     c = np.concatenate([n[m:], n[:m]], axis=0)
     scale = max(1.0, float(np.max(np.abs(c)))) if c.size else 1.0
     residual = float(np.max(np.abs(c - c.T))) if c.size else 0.0
-    if residual > tol_symmetry * scale:
+    if residual > SYMMETRY_LIMIT * scale:
         raise ValueError(
-            "base matrix asymmetry %.3e exceeds tolerance; the correlator "
-            "matrix does not describe a physical Gaussian state" % residual
+            "base matrix asymmetry %.3e exceeds the symmetry limit %.0e * "
+            "max(1, max|C|) = %.3e; the correlator matrix does not describe "
+            "a physical Gaussian state"
+            % (residual, SYMMETRY_LIMIT, SYMMETRY_LIMIT * scale)
         )
     c = 0.5 * (c + c.T)
 

@@ -36,6 +36,10 @@ __all__ = [
 NAIVE_MAX_DIM = 16
 POWERTRACE_MAX_DIM = 32
 
+# Largest max|A - A^T| of an input matrix accepted, relative to
+# max(1, max|A|).
+_SYMMETRY_LIMIT = 1e-8
+
 # Subsets are processed in fixed-size batches, which bounds the size of the
 # batched submatrix arrays.
 _BATCH = 2048
@@ -45,7 +49,7 @@ class HafnianSizeError(ValueError):
     """The input matrix exceeds the evaluation budget of the method."""
 
 
-def _checked_matrix(mat, tol_symmetry, max_dim, caller):
+def _checked_matrix(mat, max_dim, caller):
     a = np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("The input matrix is not square")
@@ -63,26 +67,27 @@ def _checked_matrix(mat, tol_symmetry, max_dim, caller):
     if n:
         residual = np.max(np.abs(a - a.T))
         scale = max(1.0, np.max(np.abs(a)))
-        if residual > tol_symmetry * scale:
+        if residual > _SYMMETRY_LIMIT * scale:
             raise ValueError(
-                "The input matrix is not symmetric: max |A - A^T| = %.3e" % residual
+                "The input matrix is not symmetric: max |A - A^T| = %.3e exceeds "
+                "the limit %.0e * max(1, max|A|) = %.3e"
+                % (residual, _SYMMETRY_LIMIT, _SYMMETRY_LIMIT * scale)
             )
         a = 0.5 * (a + a.T)
     return a
 
 
-def hafnian_naive(mat, *, tol_symmetry=1e-8):
+def hafnian_naive(mat):
     """Hafnian by explicit summation over perfect matchings.
 
     Args:
         mat (array): even-dimensional complex symmetric matrix, at most
             16 x 16
-        tol_symmetry (float): largest tolerated relative asymmetry
 
     Returns:
         complex: the hafnian
     """
-    a = _checked_matrix(mat, tol_symmetry, NAIVE_MAX_DIM, "hafnian_naive")
+    a = _checked_matrix(mat, NAIVE_MAX_DIM, "hafnian_naive")
     return _matching_sum(a, tuple(range(a.shape[0])))
 
 
@@ -99,7 +104,7 @@ def _matching_sum(a, idx):
     return total
 
 
-def hafnian_powertrace(mat, *, tol_symmetry=1e-8):
+def hafnian_powertrace(mat):
     """Hafnian by the inclusion-exclusion power-trace formula.
 
     For each nonempty subset S of the n index pairs, the eigenvalues of
@@ -110,12 +115,11 @@ def hafnian_powertrace(mat, *, tol_symmetry=1e-8):
     Args:
         mat (array): even-dimensional complex symmetric matrix, at most
             32 x 32
-        tol_symmetry (float): largest tolerated relative asymmetry
 
     Returns:
         complex: the hafnian
     """
-    a = _checked_matrix(mat, tol_symmetry, POWERTRACE_MAX_DIM, "hafnian_powertrace")
+    a = _checked_matrix(mat, POWERTRACE_MAX_DIM, "hafnian_powertrace")
     dim = a.shape[0]
     if dim == 0:
         return 1.0 + 0.0j

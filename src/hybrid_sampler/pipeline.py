@@ -26,47 +26,35 @@ def hamiltonian(cfg):
     return bdg.assemble_hamiltonian(blocks)
 
 
-def decomposition(cfg, *, ham=None, tol_stability=1e-10):
+def decomposition(cfg, *, ham=None):
     """Bogoliubov diagonalization of the configured Hamiltonian."""
     if ham is None:
         ham = hamiltonian(cfg)
-    return bdg.bogoliubov_diagonalize(ham, tol_stability=tol_stability)
+    return bdg.bogoliubov_diagonalize(ham)
 
 
-def squeeze_factors(cfg, *, dec=None, tol_stability=1e-10, tol_reconstruction=1e-9):
+def squeeze_factors(cfg, *, dec=None):
     """Bloch-Messiah factors of the configured transform."""
     if dec is None:
-        dec = decomposition(cfg, tol_stability=tol_stability)
-    return blochmessiah.bloch_messiah(dec, tol_reconstruction=tol_reconstruction)
+        dec = decomposition(cfg)
+    return blochmessiah.bloch_messiah(dec)
 
 
-def gaussian_state(cfg, *, dec=None, tol_stability=1e-10, tol_symmetry=1e-8):
+def gaussian_state(cfg, *, dec=None):
     """Quasi-equilibrium Gaussian state at the configured temperature."""
     if dec is None:
-        dec = decomposition(cfg, tol_stability=tol_stability)
-    return gaussian.covariance(dec, cfg.temperature, tol_symmetry=tol_symmetry)
+        dec = decomposition(cfg)
+    return gaussian.covariance(dec, cfg.temperature)
 
 
-def distribution(
-    cfg,
-    cutoff,
-    *,
-    state=None,
-    tol_stability=1e-10,
-    tol_symmetry=1e-8,
-    tol_imaginary=1e-9,
-):
+def distribution(cfg, cutoff, *, state=None):
     """Enumerated joint count distribution up to the cutoff."""
     if state is None:
-        state = gaussian_state(
-            cfg, tol_stability=tol_stability, tol_symmetry=tol_symmetry
-        )
-    return sampling.enumerate_distribution(
-        state, cutoff, tol_imaginary=tol_imaginary
-    )
+        state = gaussian_state(cfg)
+    return sampling.enumerate_distribution(state, cutoff)
 
 
-def quasiparticle_modes(cfg, *, tol_stability=1e-10, tol_reconstruction=1e-9):
+def quasiparticle_modes(cfg):
     """Grid-sampled eigen-squeeze and quasiparticle mode functions."""
     if cfg.mode != model.MODE_GEOMETRY:
         raise ValueError(
@@ -75,6 +63,6 @@ def quasiparticle_modes(cfg, *, tol_stability=1e-10, tol_reconstruction=1e-9):
         )
     blocks, basis = model.coupling_blocks(cfg)
     ham = bdg.assemble_hamiltonian(blocks)
-    dec = bdg.bogoliubov_diagonalize(ham, tol_stability=tol_stability)
-    factors = blochmessiah.bloch_messiah(dec, tol_reconstruction=tol_reconstruction)
+    dec = bdg.bogoliubov_diagonalize(ham)
+    factors = blochmessiah.bloch_messiah(dec)
     return blochmessiah.mode_functions(factors, basis, dec)

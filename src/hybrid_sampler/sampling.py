@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import CountsVector
+from .gaussian import SYMMETRY_LIMIT, CountsVector
 
 __all__ = [
     "ImaginaryResidualError",
@@ -44,12 +44,15 @@ __all__ = [
     "chi_square",
     "recommend_cutoff",
     "MAX_BOX_ENTRIES",
+    "IMAGINARY_LIMIT",
 ]
 
 # Largest recurrence box, in entries: 256 MB of complex128.
 MAX_BOX_ENTRIES = 2 ** 24
 
-_SYMMETRY_TOL = 1e-8
+# Largest imaginary part of a probability accepted, relative to its
+# magnitude (absolute 1e-12 near zero).
+IMAGINARY_LIMIT = 1e-9
 _CLAMP_FLOOR = -1e-12
 _MASS_SLACK = 1e-9
 
@@ -150,9 +153,11 @@ def _checked_base_matrix(state):
     c = np.asarray(state.c, dtype=complex)
     residual = float(np.max(np.abs(c - c.T)))
     scale = max(1.0, float(np.max(np.abs(c))))
-    if residual > _SYMMETRY_TOL * scale:
+    if residual > SYMMETRY_LIMIT * scale:
         raise ValueError(
-            "base matrix is not symmetric: max |C - C^T| = %.3e" % residual
+            "base matrix is not symmetric: max |C - C^T| = %.3e exceeds the "
+            "limit %.0e * max(1, max|C|) = %.3e"
+            % (residual, SYMMETRY_LIMIT, SYMMETRY_LIMIT * scale)
         )
     return 0.5 * (c + c.T)
 
@@ -192,15 +197,15 @@ def _hermite_box(c, extents):
     return g
 
 
-def _probabilities(state, values, tol_imaginary):
+def _probabilities(state, values):
     """Float probabilities from box values, same shape, and the clamped count.
 
-    Each outcome's imaginary residual must stay within ``tol_imaginary``
+    Each outcome's imaginary residual must stay within IMAGINARY_LIMIT
     of its weight (or 1e-12); negatives down to the roundoff floor are
     snapped to zero, anything below it is refused.
     """
     weights = values * math.exp(-state.log_norm)
-    limits = np.maximum(tol_imaginary * np.abs(weights), 1e-12)
+    limits = np.maximum(IMAGINARY_LIMIT * np.abs(weights), 1e-12)
     bad = np.flatnonzero(np.abs(weights.imag) > limits)
     if bad.size:
         i = bad[0]
@@ -227,7 +232,7 @@ def _outcome_at(values, flat_index, m_a):
     return _counts_vector(np.unravel_index(flat_index, values.shape), m_a)
 
 
-def _lattice(state, extents, quantity, remedy, tol_imaginary):
+def _lattice(state, extents, quantity, remedy):
     """Probabilities of every outcome below ``extents``, and the clamped count.
 
     The outcomes are the diagonal of the recurrence box with ``extents``
@@ -242,10 +247,10 @@ def _lattice(state, extents, quantity, remedy, tol_imaginary):
         )
     box = _hermite_box(_checked_base_matrix(state), extents * 2)
     diagonal = box.reshape(side, side).diagonal().reshape(extents)
-    return _probabilities(state, diagonal, tol_imaginary)
+    return _probabilities(state, diagonal)
 
 
-def outcome_probability(state, counts, *, tol_imaginary=1e-9):
+def outcome_probability(state, counts):
     """Probability of one joint count outcome.
 
     Runs the recurrence on the box [0, n] x [0, n] and reads the far
@@ -255,27 +260,24 @@ def outcome_probability(state, counts, *, tol_imaginary=1e-9):
     Args:
         state (GaussianState): state built by the gaussian module
         counts: CountsVector or flat count sequence (atoms then photons)
-        tol_imaginary (float): relative bound on the imaginary residual
 
     Returns:
         float
 
     Raises:
-        ImaginaryResidualError: an imaginary part above tolerance on the
-            diagonal up to n, which signals an invalid base matrix.
+        ImaginaryResidualError: an imaginary part above IMAGINARY_LIMIT on
+            the diagonal up to n, which signals an invalid base matrix.
         ValueError: the box prod (n_k + 1)^2 exceeds MAX_BOX_ENTRIES, or
             a probability on the diagonal up to n is below the roundoff
             floor.
     """
     key = _as_counts(counts, state.m_a, state.m_ph).key()
     extents = tuple(n + 1 for n in key)
-    probabilities, _ = _lattice(
-        state, extents, "prod (n_k+1)^2", "lower the counts", tol_imaginary
-    )
+    probabilities, _ = _lattice(state, extents, "prod (n_k+1)^2", "lower the counts")
     return float(probabilities[key])
 
 
-def enumerate_distribution(state, cutoff, *, tol_imaginary=1e-9):
+def enumerate_distribution(state, cutoff):
     """Evaluate every outcome with all counts <= cutoff.
 
     One recurrence fills the box [0, cutoff]^(2M); the outcomes are its
@@ -284,7 +286,6 @@ def enumerate_distribution(state, cutoff, *, tol_imaginary=1e-9):
     Args:
         state (GaussianState): state built by the gaussian module
         cutoff (int): largest per-mode count, >= 0
-        tol_imaginary (float): per-outcome imaginary residual bound
 
     Returns:
         OutcomeDistribution
@@ -299,8 +300,7 @@ def enumerate_distribution(state, cutoff, *, tol_imaginary=1e-9):
         raise ValueError("cutoff must be >= 0")
     extents = (cutoff + 1,) * state.m
     probabilities, clamped = _lattice(
-        state, extents, "(cutoff+1)^(2M)", "lower the cutoff or the mode count",
-        tol_imaginary,
+        state, extents, "(cutoff+1)^(2M)", "lower the cutoff or the mode count"
     )
     captured = math.fsum(probabilities.ravel())
     if captured > 1.0 + _MASS_SLACK:

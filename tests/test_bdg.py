@@ -1,6 +1,8 @@
 """Hamiltonian assembly, stability checks and Bogoliubov diagonalization."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +136,39 @@ class TestStability:
         with pytest.raises(bdg.InstabilityError) as info:
             bdg.bogoliubov_diagonalize(ham)
         assert info.value.eigenvalue is not None
+
+    def test_failed_cholesky_is_refused(self):
+        """|t|^2 > e^2 exactly, yet K's eigenvalues e -+ |t| round to a
+        positive double: the failed factorization decides."""
+        t = complex(0.9375047248769781, 0.34797254321762455)
+        assert Fraction(t.real) ** 2 + Fraction(t.imag) ** 2 > 1
+        ham = bdg.assemble_hamiltonian(squeeze_blocks(1.0, t))
+        with pytest.raises(bdg.InstabilityError, match="Cholesky") as info:
+            bdg.bogoliubov_diagonalize(ham)
+        assert info.value.eigenvalue == np.linalg.eigvalsh(ham.dynamical)[0]
+        assert "||K||_2 = 2.000e+00" in str(info.value)
+        assert not bdg.check_stability(ham).stable
+
+    def test_energy_guard_names_its_limit(self):
+        """A quasiparticle energy of 1 beside one of 1e12 is under the limit
+        1e-10 * ||K||_2 = 100; beside 1e9 (limit 0.1) it is accepted."""
+        def blocks(high):
+            return model.CouplingBlocks(
+                eps_a=np.diag([high, 1.0]).astype(complex),
+                eps_ph=np.zeros((0, 0), dtype=complex),
+                chi_phph=np.zeros((0, 0), dtype=complex),
+                chi_pha=np.zeros((0, 2), dtype=complex),
+                chit_aa=np.zeros((2, 2), dtype=complex),
+                chit_pha=np.zeros((0, 2), dtype=complex),
+            )
+
+        ham = bdg.assemble_hamiltonian(blocks(1e12))
+        want = "stability limit 1e-10 * ||K||_2 = 1.000e+02"
+        with pytest.raises(bdg.InstabilityError, match=re.escape(want)) as info:
+            bdg.bogoliubov_diagonalize(ham)
+        assert info.value.eigenvalue == 1.0
+        dec = bdg.bogoliubov_diagonalize(bdg.assemble_hamiltonian(blocks(1e9)))
+        assert dec.energies[0] == 1.0
 
 
 class TestDiagonalize:

@@ -51,6 +51,18 @@ UNSTABLE = {
     "temperature": 0.0,
     "direct_blocks": {"eps_a": [[1.0]], "chit_aa": [[1.5]]},
 }
+# |t|^2 > e^2 exactly, yet the eigenvalues e -+ |t| of K round to a positive
+# double: only the failed Cholesky factorization shows the instability.
+CRITICAL = {
+    "mode": "direct_blocks",
+    "m_a": 1,
+    "m_ph": 0,
+    "temperature": 0.0,
+    "direct_blocks": {
+        "eps_a": [[1.0]],
+        "chit_aa": [[[0.9375047248769781, 0.34797254321762455]]],
+    },
+}
 GEOMETRY = {
     "mode": "geometry_1d",
     "m_a": 1,
@@ -435,7 +447,10 @@ class TestValidate:
         )
         assert main(["validate", "--config", config]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert "PASS: hamiltonian assembled, layout residual 0.000e+00" in lines
+        assert (
+            "PASS: hamiltonian Hermitian: dynamical form residual max|K - K^H| "
+            "0.000e+00 within the limit 1e-12" in lines
+        )
 
     def test_non_hermitian_hamiltonian_fails(self, tmp_path, capsys, monkeypatch):
         """The Hamiltonian check compares against its limit and names it."""
@@ -464,6 +479,20 @@ class TestValidate:
         assert "FAIL: unstable" in out
         assert "validation FAILED" in out
 
+    def test_diagonalizes_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        diagonalize = bdg.bogoliubov_diagonalize
+
+        def counted(ham):
+            calls.append(ham)
+            return diagonalize(ham)
+
+        monkeypatch.setattr(bdg, "bogoliubov_diagonalize", counted)
+        config = write_config(tmp_path, THERMAL)
+        assert main(["validate", "--config", config]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
 
 class TestScatterTime:
     def test_hand_value(self, tmp_path, capsys):
@@ -477,6 +506,56 @@ class TestScatterTime:
         config = write_config(tmp_path, doc)
         assert main(["scatter-time", "--config", config]) == 2
         assert "omega_r is zero" in capsys.readouterr().err
+
+
+class TestFixedLimits:
+    """Each numerical guard has one fixed limit, and no flag moves it."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("build", "--tol-stability"),
+            ("decompose", "--tol-reconstruction"),
+            ("covariance", "--tol-symmetry"),
+            ("validate", "--tol-imaginary"),
+        ],
+    )
+    def test_tolerance_flag_is_a_usage_error(self, tmp_path, capsys, command, flag):
+        config = write_config(tmp_path, THERMAL)
+        assert main([command, "--config", config, flag, "1e-3"]) == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, parameters",
+        [
+            (["build"], {}),
+            (["decompose"], {}),
+            (["covariance"], {}),
+            (["validate"], {}),
+            (["pdf", "--cutoff", "2"], {"cutoff": 2, "photons_only": False}),
+            (["prob", "--counts", "1"], {"counts": [1]}),
+            (["sample", "--cutoff", "20", "--n", "3", "--seed", "1"], {"cutoff": 20, "n": 3}),
+        ],
+    )
+    def test_manifest_parameters_are_command_specific(
+        self, tmp_path, capsys, argv, parameters
+    ):
+        config = write_config(tmp_path, THERMAL)
+        assert main(argv[:1] + ["--config", config] + argv[1:]) == 0
+        manifest = json_documents(capsys.readouterr().err)[-1]
+        assert manifest["parameters"] == parameters
+
+    def test_failed_cholesky_config_is_unstable(self, tmp_path, capsys):
+        config = write_config(tmp_path, CRITICAL)
+        assert main(["build", "--config", config]) == 0
+        stability = json.loads(capsys.readouterr().out)["stability"]
+        assert stability["stable"] is False
+        assert "Cholesky" in stability["detail"]
+        for argv in (["decompose"], ["pdf", "--cutoff", "2"]):
+            assert main(argv[:1] + ["--config", config] + argv[1:]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: dynamical form K failed its Cholesky" in captured.err
 
 
 class TestUsageAndExitCodes:

@@ -1,6 +1,7 @@
 """Thermal correlators, base matrices and their replication."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ class TestBaseMatrix:
         """Imbalanced normal correlators break the base-matrix symmetry."""
         g = np.diag([1.0, 0.2]).astype(complex)
         with pytest.raises(ValueError, match="physical Gaussian state"):
+            gaussian.base_matrix(g)
+
+    def test_asymmetry_message_names_its_limit(self):
+        """G = diag(a, 0) gives C = [[0, 0], [a / (1 + a), 0]]: an asymmetry
+        of about 1e-6, over the limit 1e-8 * max(1, max|C|) = 1e-8."""
+        g = np.diag([1e-6, 0.0]).astype(complex)
+        want = "symmetry limit 1e-08 * max(1, max|C|) = 1.000e-08"
+        with pytest.raises(ValueError, match=re.escape(want)):
             gaussian.base_matrix(g)
 
 

@@ -1,6 +1,7 @@
 """Tests for the two hafnian routes."""
 
 import math
+import re
 import types
 from itertools import permutations
 
@@ -87,6 +88,14 @@ class TestNaive:
         with pytest.raises(ValueError, match="not symmetric"):
             hafnian_naive(mat)
 
+    def test_asymmetry_message_names_its_limit(self):
+        """An asymmetry of 1e-6 is over the limit 1e-8 * max(1, max|A|)."""
+        mat = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
+        want = "exceeds the limit 1e-08 * max(1, max|A|) = 1.000e-08"
+        for route in (hafnian_naive, hafnian_powertrace):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                route(mat)
+
     def test_size_cap(self):
         big = np.zeros((NAIVE_MAX_DIM + 2, NAIVE_MAX_DIM + 2))
         with pytest.raises(HafnianSizeError, match="hafnian_naive"):
@@ -104,6 +113,31 @@ class TestPowerTrace:
                 ref = hafnian_naive(mat)
                 val = hafnian_powertrace(mat)
                 assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_matrix_power_branch_matches_naive(self, monkeypatch):
+        """With the eigensolver failing, power sums come from matrix powers,
+        and the route still agrees with the naive oracle."""
+        def no_convergence(mats):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        calls = []
+        by_matmul = hybrid_sampler.hafnian._power_sums_by_matmul
+
+        def spy(mats, n):
+            calls.append(n)
+            return by_matmul(mats, n)
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        monkeypatch.setattr(hybrid_sampler.hafnian, "_power_sums_by_matmul", spy)
+        rng = np.random.default_rng(2024)
+        for dim in range(2, 13, 2):
+            for _ in range(3):
+                mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                mat = mat + mat.T
+                ref = hafnian_naive(mat)
+                val = hafnian_powertrace(mat)
+                assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert sorted(set(calls)) == [1, 2, 3, 4, 5, 6]
 
     def test_ones(self):
         assert hafnian_powertrace(np.ones((6, 6))) == pytest.approx(15.0)

@@ -1,11 +1,21 @@
 """Stage chaining from configs to distributions."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from hybrid_sampler import bdg, gaussian, model, pipeline, sampling
+from hybrid_sampler import (
+    bdg,
+    blochmessiah,
+    cli,
+    gaussian,
+    hafnian,
+    model,
+    pipeline,
+    sampling,
+)
 
 T_HALF = 1.0 / math.log(2.0)
 
@@ -67,3 +77,14 @@ class TestPipeline:
         )
         with pytest.raises(bdg.InstabilityError):
             pipeline.decomposition(cfg)
+
+    def test_no_function_takes_a_tolerance(self):
+        """Every numerical limit is a module constant; no signature moves one."""
+        for module in (bdg, blochmessiah, cli, gaussian, hafnian, pipeline, sampling):
+            for name, func in inspect.getmembers(module, inspect.isfunction):
+                if func.__module__ != module.__name__:
+                    continue
+                params = inspect.signature(func).parameters
+                assert not [p for p in params if p.startswith("tol")], name
+        with pytest.raises(TypeError):
+            pipeline.distribution(thermal_config(), 2, tol_imaginary=1e-9)

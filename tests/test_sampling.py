@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,10 +107,12 @@ class TestOutcomeProbability:
             sampling.outcome_probability(state, (1,))
 
     def test_asymmetric_base_matrix_rejected(self):
+        """An asymmetry of 1e-3 is over the limit 1e-8 * max(1, max|C|)."""
         state = make_state(thermal_blocks(1.0), T_HALF)
         state.c = state.c.astype(complex)
         state.c[0, 1] += 1e-3
-        with pytest.raises(ValueError, match="not symmetric"):
+        want = "exceeds the limit 1e-08 * max(1, max|C|) = 1.000e-08"
+        with pytest.raises(ValueError, match="not symmetric.*" + re.escape(want)):
             sampling.outcome_probability(state, (1,))
 
     def test_budget_refuses_before_allocating(self):
