@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingBlocks
+from .model import CouplingBlocks, symmetrized
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -44,7 +44,9 @@ __all__ = [
     "STABILITY_LIMIT",
 ]
 
-_LAYOUT_TOL = 1e-12
+# Largest max|X - X^H| of eps + chi and max|X - X^T| of the pair coupling
+# accepted, relative to max(1, max|X|).
+_LAYOUT_LIMIT = 1e-12
 _DEGENERACY_TOL = 1e-12
 
 # Smallest quasiparticle energy accepted as stable, relative to ||K||_2 of
@@ -112,8 +114,8 @@ def assemble_hamiltonian(blocks):
 
     Raises:
         ValueError: if the blocks do not define a Hermitian operator
-            (``eps + chi`` must be Hermitian and the pair matrix
-            symmetric).
+            (``eps + chi`` must be Hermitian and the pair matrix chi_t
+            symmetric, each within 1e-12 * max(1, max|X|)).
     """
     if isinstance(blocks, CouplingBlocks):
         blocks.validate()
@@ -133,26 +135,12 @@ def assemble_hamiltonian(blocks):
     chit[:m_a, m_a:] = blocks.chit_aph
     chit[m_a:, :m_a] = blocks.chit_pha
 
-    top = eps + chi
-    scale = max(1.0, float(np.max(np.abs(top))), float(np.max(np.abs(chit))))
-    herm_residual = np.max(np.abs(top - top.conj().T))
-    if herm_residual > _LAYOUT_TOL * scale:
-        raise ValueError(
-            "eps + chi is not Hermitian (residual %.3e); the blocks do not "
-            "define a Hermitian operator" % herm_residual
-        )
-    sym_residual = np.max(np.abs(chit - chit.T))
-    if sym_residual > _LAYOUT_TOL * scale:
-        raise ValueError(
-            "the pair-coupling matrix is not symmetric (residual %.3e); "
-            "chit_pha must be real for the conjugate-pair convention" % sym_residual
-        )
-    top = 0.5 * (top + top.conj().T)
-    chit = 0.5 * (chit + chit.T)
+    top = symmetrized(eps + chi, _LAYOUT_LIMIT, "(eps + chi)", hermitian=True)
+    chit = symmetrized(chit, _LAYOUT_LIMIT, "chi_t")
 
     h = np.block([[chit, top], [top.conj(), chit.conj()]])
     residual = np.max(np.abs(h - h.conj().T))
-    if residual <= _LAYOUT_TOL * scale:
+    if residual <= _LAYOUT_LIMIT * max(1.0, abs(h).max()):
         # Only real models get here, and their h is Hermitian already; the
         # sum turns the -0.0 imaginary parts of the conjugated blocks into
         # 0.0, which the build payload prints.
@@ -316,16 +304,13 @@ def bogoliubov_diagonalize(ham):
 
 @dataclass
 class StabilityReport:
-    """Definiteness of the stored form and the quasiparticle verdict.
+    """The quasiparticle verdict of a quadratic Hamiltonian.
 
-    ``positive_definite`` and ``min_eigenvalue`` refer to the literal
-    stored matrix, which is indefinite for any number-conserving part, so
-    ``stable`` (all quasiparticle energies real and positive) is the
-    physically meaningful flag.
+    ``stable`` is true when every quasiparticle energy is real and above
+    the stability limit; ``min_quasiparticle_energy`` is then the lowest
+    one, and ``detail`` otherwise says why the form was refused.
     """
 
-    positive_definite: bool
-    min_eigenvalue: float
     stable: bool
     min_quasiparticle_energy: float = None
     detail: str = ""
@@ -333,23 +318,10 @@ class StabilityReport:
 
 def check_stability(ham):
     """Assess a quadratic Hamiltonian without raising on instability."""
-    hermitian_part = 0.5 * (ham.h + ham.h.conj().T)
-    eigs = np.linalg.eigvalsh(hermitian_part)
-    min_eig = float(eigs[0]) if eigs.size else 0.0
     try:
         dec = bogoliubov_diagonalize(ham)
     except InstabilityError as exc:
-        return StabilityReport(
-            positive_definite=bool(min_eig > 0),
-            min_eigenvalue=min_eig,
-            stable=False,
-            min_quasiparticle_energy=None,
-            detail=str(exc),
-        )
+        return StabilityReport(stable=False, detail=str(exc))
     return StabilityReport(
-        positive_definite=bool(min_eig > 0),
-        min_eigenvalue=min_eig,
-        stable=True,
-        min_quasiparticle_energy=float(dec.energies[0]),
-        detail="",
+        stable=True, min_quasiparticle_energy=float(dec.energies[0])
     )

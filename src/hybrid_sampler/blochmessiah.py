@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import symmetrized
+
 __all__ = [
     "BlochMessiahFactors",
     "ModeFunctions",
@@ -42,6 +44,11 @@ class ReconstructionError(RuntimeError):
 
 _SQUEEZE_CLAMP = 1e-12
 
+# Largest max|X - X^T| accepted, relative to max(1, max|X|), of a Takagi
+# input N and of the squeeze kernel Y.
+_TAKAGI_SYMMETRY_LIMIT = 1e-10
+_KERNEL_SYMMETRY_LIMIT = 1e-8
+
 # Largest residual of the reconstructed A and B accepted, relative to
 # max(1, max|A|).
 RECONSTRUCTION_LIMIT = 1e-9
@@ -59,7 +66,8 @@ def takagi(mat):
     completes the columns of zero singular values to an orthonormal basis.
 
     Args:
-        mat (array): complex symmetric matrix
+        mat (array): complex matrix, symmetric within 1e-10 * max(1,
+            max|N|); its symmetric part is factored
 
     Returns:
         tuple[array, array]: singular values in descending order and the
@@ -68,8 +76,7 @@ def takagi(mat):
     n = np.asarray(mat, dtype=complex)
     if n.ndim != 2 or n.shape[0] != n.shape[1]:
         raise ValueError("The input matrix is not square")
-    if n.size and np.max(np.abs(n - n.T)) > 1e-10 * max(1.0, np.max(np.abs(n))):
-        raise ValueError("The input matrix is not symmetric")
+    n = symmetrized(n, _TAKAGI_SYMMETRY_LIMIT, "N")
     dim = n.shape[0]
     if dim == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
@@ -164,13 +171,7 @@ def bloch_messiah(dec):
     # Y = -B (A*)^-1 is symmetric for a symplectic pair and carries the
     # squeeze spectrum as tanh(r).
     y = -np.linalg.solve(a.conj().T, b.T).T
-    sym_residual = np.max(np.abs(y - y.T))
-    if sym_residual > 1e-8 * max(1.0, np.max(np.abs(y))):
-        raise ReconstructionError(
-            "input pair is not symplectic: squeeze kernel asymmetry %.3e"
-            % sym_residual
-        )
-    y = 0.5 * (y + y.T)
+    y = symmetrized(y, _KERNEL_SYMMETRY_LIMIT, "Y", error=ReconstructionError)
 
     tanh_r, w = takagi(y)
     if tanh_r.size and tanh_r[0] >= 1.0:
@@ -189,10 +190,12 @@ def bloch_messiah(dec):
     residual = max(
         float(np.max(np.abs(a_rec - a))), float(np.max(np.abs(b_rec - b)))
     )
-    if residual > RECONSTRUCTION_LIMIT * max(1.0, float(np.max(np.abs(a)))):
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if residual > RECONSTRUCTION_LIMIT * scale:
         raise ReconstructionError(
-            "Bloch-Messiah reconstruction residual %.3e exceeds %.1e"
-            % (residual, RECONSTRUCTION_LIMIT)
+            "Bloch-Messiah reconstruction residual %.3e exceeds the limit "
+            "%.0e * max(1, max|A|) = %.3e"
+            % (residual, RECONSTRUCTION_LIMIT, RECONSTRUCTION_LIMIT * scale)
         )
     return factors
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import symmetrized
+
 __all__ = [
     "CountsVector",
     "GaussianState",
@@ -30,6 +32,8 @@ __all__ = [
 # Largest max|C - C^T| of the base matrix accepted, relative to
 # max(1, max|C|).
 SYMMETRY_LIMIT = 1e-8
+# Largest imaginary part of the phase of det(1 + G) accepted.
+_DET_PHASE_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -143,8 +147,8 @@ def base_matrix(g):
     """Base matrix C = P G (1 + G)^-1 and the state log-normalization.
 
     P swaps the creation/annihilation half-blocks; the product is
-    symmetric for every physical correlator matrix, which is enforced
-    here and then imposed exactly.
+    symmetric for every physical correlator matrix, which is checked
+    within SYMMETRY_LIMIT here and then imposed exactly.
 
     Args:
         g (array or GaussianState): 2M x 2M correlator matrix, or a state
@@ -164,23 +168,14 @@ def base_matrix(g):
     # N = G (1 + G)^-1 solved as a right division to avoid the explicit
     # inverse.
     n = np.linalg.solve(one_plus.T, g.T).T
-    c = np.concatenate([n[m:], n[:m]], axis=0)
-    scale = max(1.0, float(np.max(np.abs(c)))) if c.size else 1.0
-    residual = float(np.max(np.abs(c - c.T))) if c.size else 0.0
-    if residual > SYMMETRY_LIMIT * scale:
-        raise ValueError(
-            "base matrix asymmetry %.3e exceeds the symmetry limit %.0e * "
-            "max(1, max|C|) = %.3e; the correlator matrix does not describe "
-            "a physical Gaussian state"
-            % (residual, SYMMETRY_LIMIT, SYMMETRY_LIMIT * scale)
-        )
-    c = 0.5 * (c + c.T)
+    c = symmetrized(np.concatenate([n[m:], n[:m]], axis=0), SYMMETRY_LIMIT, "C")
 
     sign, logabs = np.linalg.slogdet(one_plus)
-    if abs(sign.imag) > 1e-8 or sign.real <= 0:
+    if abs(sign.imag) > _DET_PHASE_LIMIT or sign.real <= 0:
         raise ValueError(
-            "det(1 + G) is not real positive; the correlator matrix does "
-            "not describe a physical Gaussian state"
+            "det(1 + G) is not real positive: its phase is %.3e%+.3ej, and a "
+            "physical Gaussian state needs a real part above 0 and |imag| "
+            "within the limit %.0e" % (sign.real, sign.imag, _DET_PHASE_LIMIT)
         )
     log_norm = 0.5 * (logabs + np.log(sign.real))
     return c, log_norm

@@ -25,6 +25,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .model import symmetrized
+
 __all__ = [
     "hafnian_naive",
     "hafnian_powertrace",
@@ -64,17 +66,7 @@ def _checked_matrix(mat, max_dim, caller):
             "%s supports matrices up to %d x %d, got %d x %d"
             % (caller, max_dim, max_dim, n, n)
         )
-    if n:
-        residual = np.max(np.abs(a - a.T))
-        scale = max(1.0, np.max(np.abs(a)))
-        if residual > _SYMMETRY_LIMIT * scale:
-            raise ValueError(
-                "The input matrix is not symmetric: max |A - A^T| = %.3e exceeds "
-                "the limit %.0e * max(1, max|A|) = %.3e"
-                % (residual, _SYMMETRY_LIMIT, _SYMMETRY_LIMIT * scale)
-            )
-        a = 0.5 * (a + a.T)
-    return a
+    return symmetrized(a, _SYMMETRY_LIMIT, "A")
 
 
 def hafnian_naive(mat):

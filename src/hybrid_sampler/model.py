@@ -32,15 +32,19 @@ __all__ = [
     "build_mode_basis",
     "compute_coupling_blocks",
     "estimate_scattering_time",
+    "symmetrized",
 ]
 
 MODE_GEOMETRY = "geometry_1d"
 MODE_DIRECT = "direct_blocks"
 
-_HERMITICITY_TOL = 1e-12
-# Inputs may carry roundoff-level asymmetry which symmetrization removes;
-# anything above this looks like a typo rather than noise.
-_INPUT_ASYMMETRY_TOL = 1e-6
+# Largest max|X - X^T| (or X^H) of a config block accepted, relative to
+# max(1, max|X|): inputs may carry roundoff-level asymmetry, which
+# symmetrization removes; anything above this looks like a typo.
+_INPUT_SYMMETRY_LIMIT = 1e-6
+# The same for blocks that reach CouplingBlocks.validate, and for the
+# largest imaginary part of chit_pha.
+_BLOCK_SYMMETRY_LIMIT = 1e-12
 
 
 class ConfigError(ValueError):
@@ -65,28 +69,26 @@ class GridSpec:
             raise ConfigError("grid.points must be at least 16, got %r" % self.points)
 
 
-def _symmetrize_hermitian(mat, name):
-    mat = np.asarray(mat, dtype=complex)
-    if mat.size:
-        residual = np.max(np.abs(mat - mat.conj().T))
-        scale = max(1.0, np.max(np.abs(mat)))
-        if residual > _INPUT_ASYMMETRY_TOL * scale:
-            raise ConfigError(
-                "%s must be Hermitian: max |X - X^dag| = %.3e" % (name, residual)
-            )
-    return 0.5 * (mat + mat.conj().T)
+def symmetrized(mat, limit, name, *, hermitian=False, error=ValueError):
+    """0.5 * (X + X^T), or 0.5 * (X + X^H), of a matrix checked to be
+    symmetric (or Hermitian) within ``limit * max(1, max|X|)``.
 
-
-def _symmetrize_symmetric(mat, name):
+    Over the limit it raises ``error``, naming the matrix, max|X - X^T| (or
+    X^H), the limit and the scaled limit.
+    """
     mat = np.asarray(mat, dtype=complex)
+    partner = mat.conj().T if hermitian else mat.T
     if mat.size:
-        residual = np.max(np.abs(mat - mat.T))
-        scale = max(1.0, np.max(np.abs(mat)))
-        if residual > _INPUT_ASYMMETRY_TOL * scale:
-            raise ConfigError(
-                "%s must be symmetric: max |X - X^T| = %.3e" % (name, residual)
+        residual = abs(mat - partner).max()
+        scale = max(1.0, abs(mat).max())
+        if residual > limit * scale:
+            kind, op = ("Hermitian", "H") if hermitian else ("symmetric", "T")
+            raise error(
+                "%s is not %s: max|%s - %s^%s| = %.3e exceeds the limit "
+                "%.0e * max(1, max|%s|) = %.3e"
+                % (name, kind, name, name, op, residual, limit, name, limit * scale)
             )
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + partner)
 
 
 @dataclass
@@ -129,6 +131,8 @@ class CouplingBlocks:
         return self.chit_pha.conj().T
 
     def validate(self):
+        """Check shapes and invariants, and impose the exact symmetries of
+        eps_a, chi_phph and chit_aa."""
         m_a, m_ph = self.m_a, self.m_ph
         shapes = {
             "eps_a": (self.eps_a, (m_a, m_a)),
@@ -143,13 +147,25 @@ class CouplingBlocks:
                 raise ConfigError(
                     "%s has shape %s, expected %s" % (name, mat.shape, want)
                 )
-        for name, mat in (("eps_a", self.eps_a), ("chi_phph", self.chi_phph)):
-            if mat.size and np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
-                raise ConfigError("%s is not Hermitian after symmetrization" % name)
-        if self.chit_aa.size and np.max(np.abs(self.chit_aa - self.chit_aa.T)) > _HERMITICITY_TOL:
-            raise ConfigError("chit_aa is not symmetric after symmetrization")
+        limit = _BLOCK_SYMMETRY_LIMIT
+        self.eps_a = symmetrized(self.eps_a, limit, "eps_a", hermitian=True, error=ConfigError)
+        self.chi_phph = symmetrized(
+            self.chi_phph, limit, "chi_phph", hermitian=True, error=ConfigError
+        )
+        self.chit_aa = symmetrized(self.chit_aa, limit, "chit_aa", error=ConfigError)
         if self.eps_ph.size and np.max(np.abs(self.eps_ph - np.diag(np.diag(self.eps_ph)))) > 0:
             raise ConfigError("eps_ph must be diagonal (one energy per cavity mode)")
+        if self.chit_pha.size:
+            # The pair coupling is symmetric only if its photon-atom block is
+            # real (conjugate-pair convention).
+            imag = abs(self.chit_pha.imag).max()
+            scale = max(1.0, abs(self.chit_pha).max())
+            if imag > limit * scale:
+                raise ConfigError(
+                    "chit_pha must be real: max|Im chit_pha| = %.3e exceeds the "
+                    "limit %.0e * max(1, max|chit_pha|) = %.3e"
+                    % (imag, limit, limit * scale)
+                )
 
     @classmethod
     def from_dict(cls, data, m_a, m_ph):
@@ -161,7 +177,7 @@ class CouplingBlocks:
                 "unknown key(s) in direct_blocks: %s" % ", ".join(sorted(unknown))
             )
 
-        def block(name, shape, fix):
+        def block(name, shape, hermitian=None):
             if name not in data:
                 return np.zeros(shape, dtype=complex)
             mat = decode_matrix(data[name], "direct_blocks.%s" % name)
@@ -174,15 +190,20 @@ class CouplingBlocks:
                         "direct_blocks.%s has shape %s, expected %s"
                         % (name, mat.shape, shape)
                     )
-            return fix(mat, "direct_blocks.%s" % name) if fix else mat
+            if hermitian is None:
+                return mat
+            return symmetrized(
+                mat, _INPUT_SYMMETRY_LIMIT, "direct_blocks.%s" % name,
+                hermitian=hermitian, error=ConfigError,
+            )
 
         blocks = cls(
-            eps_a=block("eps_a", (m_a, m_a), _symmetrize_hermitian),
-            eps_ph=block("eps_ph", (m_ph, m_ph), _symmetrize_hermitian),
-            chi_phph=block("chi_phph", (m_ph, m_ph), _symmetrize_hermitian),
-            chi_pha=block("chi_pha", (m_ph, m_a), None),
-            chit_aa=block("chit_aa", (m_a, m_a), _symmetrize_symmetric),
-            chit_pha=block("chit_pha", (m_ph, m_a), None),
+            eps_a=block("eps_a", (m_a, m_a), True),
+            eps_ph=block("eps_ph", (m_ph, m_ph), True),
+            chi_phph=block("chi_phph", (m_ph, m_ph), True),
+            chi_pha=block("chi_pha", (m_ph, m_a)),
+            chit_aa=block("chit_aa", (m_a, m_a), False),
+            chit_pha=block("chit_pha", (m_ph, m_a)),
         )
         blocks.validate()
         return blocks
@@ -503,12 +524,13 @@ def compute_coupling_blocks(basis, cfg):
     trap = np.diag(np.arange(1, cfg.m_a + 1) + 0.5)
     eps_a = trap + (phi.conj() * (w * potential)) @ phi.T
 
+    limit = _INPUT_SYMMETRY_LIMIT
     blocks = CouplingBlocks(
-        eps_a=_symmetrize_hermitian(eps_a, "eps_a"),
+        eps_a=symmetrized(eps_a, limit, "eps_a", hermitian=True, error=ConfigError),
         eps_ph=np.diag(cfg.omega_nu).astype(complex),
-        chi_phph=_symmetrize_hermitian(chi_phph, "chi_phph"),
+        chi_phph=symmetrized(chi_phph, limit, "chi_phph", hermitian=True, error=ConfigError),
         chi_pha=np.asarray(chi_pha, dtype=complex),
-        chit_aa=_symmetrize_symmetric(chit_aa, "chit_aa"),
+        chit_aa=symmetrized(chit_aa, limit, "chit_aa", error=ConfigError),
         chit_pha=np.asarray(chit_pha, dtype=complex),
     )
     blocks.validate()

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import SYMMETRY_LIMIT, CountsVector
+from .model import symmetrized
 
 __all__ = [
     "ImaginaryResidualError",
@@ -148,20 +149,6 @@ def _as_counts(counts, m_a, m_ph):
     return vec
 
 
-def _checked_base_matrix(state):
-    """The state's base matrix, checked symmetric and then symmetrized."""
-    c = np.asarray(state.c, dtype=complex)
-    residual = float(np.max(np.abs(c - c.T)))
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if residual > SYMMETRY_LIMIT * scale:
-        raise ValueError(
-            "base matrix is not symmetric: max |C - C^T| = %.3e exceeds the "
-            "limit %.0e * max(1, max|C|) = %.3e"
-            % (residual, SYMMETRY_LIMIT, SYMMETRY_LIMIT * scale)
-        )
-    return 0.5 * (c + c.T)
-
-
 def _hermite_box(c, extents):
     """G(r) = haf(C repeated by r) / sqrt(r!) for every r below ``extents``.
 
@@ -245,7 +232,7 @@ def _lattice(state, extents, quantity, remedy):
             "lattice budget exceeded: %s = %d box entries is above the "
             "limit %d; %s" % (quantity, side * side, MAX_BOX_ENTRIES, remedy)
         )
-    box = _hermite_box(_checked_base_matrix(state), extents * 2)
+    box = _hermite_box(symmetrized(state.c, SYMMETRY_LIMIT, "C"), extents * 2)
     diagonal = box.reshape(side, side).diagonal().reshape(extents)
     return _probabilities(state, diagonal)
 

@@ -1,6 +1,7 @@
 """Takagi factorization, squeeze normal form and mode functions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,14 +351,20 @@ class TestBlochMessiah:
         assert np.all(factors.r > 0)
 
     def test_non_symplectic_pair_rejected(self):
+        """A = 1 and B = [[0, 1/2], [0, 0]] give the squeeze kernel Y = -B,
+        which is not symmetric."""
         dec = BogoliubovDecomposition(
             energies=np.ones(2),
-            a=np.random.randn(2, 2) + 1j * np.random.randn(2, 2),
-            b=np.random.randn(2, 2) + 1j * np.random.randn(2, 2),
+            a=np.eye(2, dtype=complex),
+            b=np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex),
             m_a=2,
             m_ph=0,
         )
-        with pytest.raises(blochmessiah.ReconstructionError, match="not symplectic"):
+        want = (
+            "Y is not symmetric: max|Y - Y^T| = 5.000e-01 exceeds the limit "
+            "1e-08 * max(1, max|Y|) = 1.000e-08"
+        )
+        with pytest.raises(blochmessiah.ReconstructionError, match=re.escape(want)):
             blochmessiah.bloch_messiah(dec)
 
     def test_unbounded_kernel_rejected(self):
@@ -369,6 +376,25 @@ class TestBlochMessiah:
             m_ph=0,
         )
         with pytest.raises(blochmessiah.ReconstructionError, match=">= 1"):
+            blochmessiah.bloch_messiah(dec)
+
+    def test_reconstruction_message_names_its_scaled_limit(self):
+        """A = 2 and B = -2 Y with Y 5e-9 off symmetric: the kernel passes
+        its 1e-8 limit, but the symmetrized kernel reproduces B only to
+        5e-9, over the limit 1e-9 * max(1, max|A|) = 2e-9."""
+        y = np.array([[0.1, 0.2 + 5e-9], [0.2, 0.1]])
+        dec = BogoliubovDecomposition(
+            energies=np.ones(2),
+            a=2.0 * np.eye(2, dtype=complex),
+            b=(-2.0 * y).astype(complex),
+            m_a=2,
+            m_ph=0,
+        )
+        want = (
+            "Bloch-Messiah reconstruction residual 5.000e-09 exceeds the limit "
+            "1e-09 * max(1, max|A|) = 2.000e-09"
+        )
+        with pytest.raises(blochmessiah.ReconstructionError, match=re.escape(want)):
             blochmessiah.bloch_messiah(dec)
 
     def test_spectrum_accessor_copies(self):

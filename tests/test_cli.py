@@ -374,7 +374,6 @@ class TestBuildDecomposeCovariance:
         ham = model.decode_matrix(payload["hamiltonian"], "h")
         np.testing.assert_array_equal(ham, np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert payload["stability"]["stable"] is True
-        assert payload["stability"]["positive_definite"] is False
 
     def test_decompose_payload(self, tmp_path, capsys):
         config = write_config(tmp_path, TWO_MODE)
@@ -579,6 +578,20 @@ class TestUsageAndExitCodes:
         config = write_config(tmp_path, UNSTABLE)
         assert main(["decompose", "--config", config]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["build"], ["pdf", "--cutoff", "2"]])
+    def test_complex_pair_coupling_is_a_usage_error(self, tmp_path, capsys, argv):
+        """chit_pha is real by the schema, so a complex one is refused as
+        the config is read, not while the Hamiltonian is assembled."""
+        blocks = {**TWO_MODE["direct_blocks"], "chit_pha": [[[0.3, 0.1]]]}
+        config = write_config(tmp_path, {**TWO_MODE, "direct_blocks": blocks})
+        assert main(argv[:1] + ["--config", config] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "chit_pha must be real: max|Im chit_pha| = 1.000e-01 exceeds the "
+            "limit 1e-12 * max(1, max|chit_pha|) = 1.000e-12"
+        ) in captured.err
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0

@@ -156,15 +156,35 @@ class TestBaseMatrix:
     def test_unphysical_correlator_rejected(self):
         """Imbalanced normal correlators break the base-matrix symmetry."""
         g = np.diag([1.0, 0.2]).astype(complex)
-        with pytest.raises(ValueError, match="physical Gaussian state"):
+        want = (
+            "C is not symmetric: max|C - C^T| = 3.333e-01 exceeds the limit "
+            "1e-08 * max(1, max|C|) = 1.000e-08"
+        )
+        with pytest.raises(ValueError, match=re.escape(want)):
             gaussian.base_matrix(g)
 
     def test_asymmetry_message_names_its_limit(self):
         """G = diag(a, 0) gives C = [[0, 0], [a / (1 + a), 0]]: an asymmetry
         of about 1e-6, over the limit 1e-8 * max(1, max|C|) = 1e-8."""
         g = np.diag([1e-6, 0.0]).astype(complex)
-        want = "symmetry limit 1e-08 * max(1, max|C|) = 1.000e-08"
+        want = (
+            "C is not symmetric: max|C - C^T| = 1.000e-06 exceeds the limit "
+            "1e-08 * max(1, max|C|) = 1.000e-08"
+        )
         with pytest.raises(ValueError, match=re.escape(want)):
+            gaussian.base_matrix(g)
+
+    def test_determinant_phase_message_names_its_limit(self):
+        """G = [[0, x], [x, 0]] with x^2 = -2e-8 i keeps C symmetric, but
+        det(1 + G) = 1 + 2e-8 i has a phase 2e-8 off the real axis."""
+        x = np.sqrt(2e-8) * np.exp(-0.25j * np.pi)
+        g = np.array([[0.0, x], [x, 0.0]])
+        want = (
+            "det(1 + G) is not real positive: its phase is 1.000e+00+2.000e-08j, "
+            "and a physical Gaussian state needs a real part above 0 and |imag| "
+            "within the limit 1e-08"
+        )
+        with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
             gaussian.base_matrix(g)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,7 +161,12 @@ class TestDirectBlocks:
             )
 
     def test_non_hermitian_eps(self):
-        with pytest.raises(model.ConfigError, match="must be Hermitian"):
+        want = (
+            "direct_blocks.eps_a is not Hermitian: max|direct_blocks.eps_a - "
+            "direct_blocks.eps_a^H| = 4.000e-01 exceeds the limit 1e-06 * "
+            "max(1, max|direct_blocks.eps_a|) = 1.000e-06"
+        )
+        with pytest.raises(model.ConfigError, match=re.escape(want)):
             model.config_from_dict(
                 {
                     "mode": "direct_blocks",
@@ -172,7 +178,12 @@ class TestDirectBlocks:
             )
 
     def test_asymmetric_pair_block(self):
-        with pytest.raises(model.ConfigError, match="must be symmetric"):
+        want = (
+            "direct_blocks.chit_aa is not symmetric: max|direct_blocks.chit_aa - "
+            "direct_blocks.chit_aa^T| = 1.000e+00 exceeds the limit 1e-06 * "
+            "max(1, max|direct_blocks.chit_aa|) = 1.000e-06"
+        )
+        with pytest.raises(model.ConfigError, match=re.escape(want)):
             model.config_from_dict(
                 {
                     "mode": "direct_blocks",
