@@ -12,6 +12,8 @@ coupling and ``chi_t`` the pair coupling.  The same form reordered over
 swapping the block rows of ``H``; ``K`` is positive definite exactly when
 the system is thermodynamically stable, which is what the Cholesky route
 below relies on: a form whose factorization fails is refused as unstable.
+``model.CouplingBlocks`` checks its symmetries when it is built, so the
+assembled ``K`` is exactly Hermitian and assembly checks nothing again.
 
 The diagonalizing transform follows the standard Cholesky method:
 factor ``K = L L^dag``, diagonalize ``L^dag J L`` with ``J =
@@ -30,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingBlocks, symmetrized
-
 __all__ = [
     "QuadraticHamiltonian",
     "BogoliubovDecomposition",
@@ -44,9 +44,6 @@ __all__ = [
     "STABILITY_LIMIT",
 ]
 
-# Largest max|X - X^H| of eps + chi and max|X - X^T| of the pair coupling
-# accepted, relative to max(1, max|X|).
-_LAYOUT_LIMIT = 1e-12
 _DEGENERACY_TOL = 1e-12
 
 # Smallest quasiparticle energy accepted as stable, relative to ||K||_2 of
@@ -96,29 +93,20 @@ class QuadraticHamiltonian:
         definite iff the system is stable."""
         return _swap_blocks(self.h)
 
-    @property
-    def hermiticity_residual(self):
-        """max |K - K^H| of the dynamical form K, which is Hermitian."""
-        k = self.dynamical
-        return float(np.max(np.abs(k - k.conj().T)))
-
 
 def assemble_hamiltonian(blocks):
     """Assemble the quadratic-form matrix from coupling blocks.
 
+    The blocks are used as given: a ``CouplingBlocks`` checked their
+    symmetries when it was built, so the dynamical form of the result is
+    exactly Hermitian.
+
     Args:
-        blocks (CouplingBlocks): validated coupling blocks
+        blocks (CouplingBlocks): coupling blocks
 
     Returns:
         QuadraticHamiltonian
-
-    Raises:
-        ValueError: if the blocks do not define a Hermitian operator
-            (``eps + chi`` must be Hermitian and the pair matrix chi_t
-            symmetric, each within 1e-12 * max(1, max|X|)).
     """
-    if isinstance(blocks, CouplingBlocks):
-        blocks.validate()
     m_a, m_ph, m = blocks.m_a, blocks.m_ph, blocks.m
 
     eps = np.zeros((m, m), dtype=complex)
@@ -135,16 +123,8 @@ def assemble_hamiltonian(blocks):
     chit[:m_a, m_a:] = blocks.chit_aph
     chit[m_a:, :m_a] = blocks.chit_pha
 
-    top = symmetrized(eps + chi, _LAYOUT_LIMIT, "(eps + chi)", hermitian=True)
-    chit = symmetrized(chit, _LAYOUT_LIMIT, "chi_t")
-
+    top = eps + chi
     h = np.block([[chit, top], [top.conj(), chit.conj()]])
-    residual = np.max(np.abs(h - h.conj().T))
-    if residual <= _LAYOUT_LIMIT * max(1.0, abs(h).max()):
-        # Only real models get here, and their h is Hermitian already; the
-        # sum turns the -0.0 imaginary parts of the conjugated blocks into
-        # 0.0, which the build payload prints.
-        h = 0.5 * (h + h.conj().T)
     return QuadraticHamiltonian(h=h, m_a=m_a, m_ph=m_ph)
 
 

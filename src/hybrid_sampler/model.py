@@ -42,7 +42,7 @@ MODE_DIRECT = "direct_blocks"
 # max(1, max|X|): inputs may carry roundoff-level asymmetry, which
 # symmetrization removes; anything above this looks like a typo.
 _INPUT_SYMMETRY_LIMIT = 1e-6
-# The same for blocks that reach CouplingBlocks.validate, and for the
+# The same for the blocks a CouplingBlocks is built from, and for the
 # largest imaginary part of chit_pha.
 _BLOCK_SYMMETRY_LIMIT = 1e-12
 
@@ -91,7 +91,7 @@ def symmetrized(mat, limit, name, *, hermitian=False, error=ValueError):
     return 0.5 * (mat + partner)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CouplingBlocks:
     """Blocks of the effective quadratic Hamiltonian.
 
@@ -101,6 +101,8 @@ class CouplingBlocks:
     couplings, and ``chit_aa`` the collisional atom-atom pairing.  The
     atom-photon partners are the Hermitian conjugates, exposed as
     properties.
+    Construction checks shapes and symmetries (eps_ph diagonal, chit_pha
+    real) once and stores the exact parts read-only in a frozen instance.
     """
 
     eps_a: np.ndarray
@@ -130,9 +132,7 @@ class CouplingBlocks:
     def chit_aph(self):
         return self.chit_pha.conj().T
 
-    def validate(self):
-        """Check shapes and invariants, and impose the exact symmetries of
-        eps_a, chi_phph and chit_aa."""
+    def __post_init__(self):
         m_a, m_ph = self.m_a, self.m_ph
         shapes = {
             "eps_a": (self.eps_a, (m_a, m_a)),
@@ -148,12 +148,14 @@ class CouplingBlocks:
                     "%s has shape %s, expected %s" % (name, mat.shape, want)
                 )
         limit = _BLOCK_SYMMETRY_LIMIT
-        self.eps_a = symmetrized(self.eps_a, limit, "eps_a", hermitian=True, error=ConfigError)
-        self.chi_phph = symmetrized(
-            self.chi_phph, limit, "chi_phph", hermitian=True, error=ConfigError
-        )
-        self.chit_aa = symmetrized(self.chit_aa, limit, "chit_aa", error=ConfigError)
-        if self.eps_ph.size and np.max(np.abs(self.eps_ph - np.diag(np.diag(self.eps_ph)))) > 0:
+        exact = {
+            name: symmetrized(
+                getattr(self, name), limit, name, hermitian=name != "chit_aa", error=ConfigError
+            )
+            for name in ("eps_a", "eps_ph", "chi_phph", "chit_aa")
+        }
+        eps_ph = exact["eps_ph"]
+        if eps_ph.size and np.max(np.abs(eps_ph - np.diag(np.diag(eps_ph)))) > 0:
             raise ConfigError("eps_ph must be diagonal (one energy per cavity mode)")
         if self.chit_pha.size:
             # The pair coupling is symmetric only if its photon-atom block is
@@ -166,10 +168,14 @@ class CouplingBlocks:
                     "limit %.0e * max(1, max|chit_pha|) = %.3e"
                     % (imag, limit, limit * scale)
                 )
+        exact["chit_pha"] = self.chit_pha.real.astype(complex)
+        for name, value in exact.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, data, m_a, m_ph):
-        """Build validated blocks from a ``direct_blocks`` JSON object."""
+        """Build blocks from a ``direct_blocks`` JSON object."""
         known = {"eps_a", "eps_ph", "chi_phph", "chi_pha", "chit_aa", "chit_pha"}
         unknown = set(data) - known
         if unknown:
@@ -197,7 +203,7 @@ class CouplingBlocks:
                 hermitian=hermitian, error=ConfigError,
             )
 
-        blocks = cls(
+        return cls(
             eps_a=block("eps_a", (m_a, m_a), True),
             eps_ph=block("eps_ph", (m_ph, m_ph), True),
             chi_phph=block("chi_phph", (m_ph, m_ph), True),
@@ -205,8 +211,6 @@ class CouplingBlocks:
             chit_aa=block("chit_aa", (m_a, m_a), False),
             chit_pha=block("chit_pha", (m_ph, m_a)),
         )
-        blocks.validate()
-        return blocks
 
 
 @dataclass
@@ -525,7 +529,7 @@ def compute_coupling_blocks(basis, cfg):
     eps_a = trap + (phi.conj() * (w * potential)) @ phi.T
 
     limit = _INPUT_SYMMETRY_LIMIT
-    blocks = CouplingBlocks(
+    return CouplingBlocks(
         eps_a=symmetrized(eps_a, limit, "eps_a", hermitian=True, error=ConfigError),
         eps_ph=np.diag(cfg.omega_nu).astype(complex),
         chi_phph=symmetrized(chi_phph, limit, "chi_phph", hermitian=True, error=ConfigError),
@@ -533,8 +537,6 @@ def compute_coupling_blocks(basis, cfg):
         chit_aa=symmetrized(chit_aa, limit, "chit_aa", error=ConfigError),
         chit_pha=np.asarray(chit_pha, dtype=complex),
     )
-    blocks.validate()
-    return blocks
 
 
 def coupling_blocks(cfg):

@@ -45,17 +45,30 @@ __all__ = [
     "chi_square",
     "recommend_cutoff",
     "MAX_BOX_ENTRIES",
+    "MAX_DRAWS",
     "IMAGINARY_LIMIT",
+    "MIN_EXPECTED",
+    "SIGNIFICANCE",
+    "CUTOFF_FACTOR",
 ]
 
 # Largest recurrence box, in entries: 256 MB of complex128.
 MAX_BOX_ENTRIES = 2 ** 24
+# Most draws one sample call makes: a `hybrid-sampler sample` run holds
+# about 90 B per draw, so at the limit it stays under about 0.4 GB.
+MAX_DRAWS = 2 ** 22
 
 # Largest imaginary part of a probability accepted, relative to its
 # magnitude (absolute 1e-12 near zero).
 IMAGINARY_LIMIT = 1e-9
 _CLAMP_FLOOR = -1e-12
 _MASS_SLACK = 1e-9
+
+# The chi-square pooling minimum (expected count per bucket) and pass
+# threshold (p-value), and recommend_cutoff's multiple of the largest mean.
+MIN_EXPECTED = 20.0
+SIGNIFICANCE = 0.01
+CUTOFF_FACTOR = 10.0
 
 
 class TruncationError(RuntimeError):
@@ -113,11 +126,10 @@ class ChiSquareResult:
     dof: int
     p_value: float
     n_buckets: int
-    significance: float = 0.01
 
     @property
     def passed(self):
-        return self.p_value > self.significance
+        return self.p_value > SIGNIFICANCE
 
     @property
     def p_bucket(self):
@@ -353,11 +365,16 @@ def sample(dist, n_samples, seed):
         list[CountsVector]; draws of one outcome share one CountsVector
 
     Raises:
+        ValueError: n_samples negative or above MAX_DRAWS, before any allocation.
         TruncationError: captured mass <= 0.99, too lossy to renormalize.
     """
     n_samples = int(n_samples)
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
+    if n_samples > MAX_DRAWS:
+        raise ValueError(
+            "n_samples = %d exceeds the draw limit MAX_DRAWS = %d" % (n_samples, MAX_DRAWS)
+        )
     seed = int(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -376,10 +393,10 @@ def sample(dist, n_samples, seed):
     return draws.tolist()
 
 
-def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
+def chi_square(dist, samples):
     """Pearson goodness-of-fit of samples against the distribution.
 
-    Outcomes whose expected count falls below ``min_expected`` are pooled
+    Outcomes whose expected count falls below MIN_EXPECTED are pooled
     into a tail bucket (merged into the last retained bucket when the
     tail itself stays below the minimum).  Draws are counted by value:
     equal CountsVectors share a bucket whether or not they are one object.
@@ -387,11 +404,9 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
     Args:
         dist (OutcomeDistribution): reference distribution
         samples: list of CountsVector draws
-        min_expected (float): smallest expected count per retained bucket
-        significance (float): pass threshold on the p-value
 
     Returns:
-        ChiSquareResult
+        ChiSquareResult, which passes when the p-value exceeds SIGNIFICANCE
 
     Raises:
         ValueError: no samples, or too few to form two buckets.
@@ -419,7 +434,7 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
     for counts, value in zip(dist.outcomes(), dist.probabilities.ravel().tolist()):
         expected = value / dist.captured_mass * n
         seen = observed.pop(counts, 0)
-        if expected >= min_expected:
+        if expected >= MIN_EXPECTED:
             retained.append([float(seen), expected])
         else:
             tail_expected += expected
@@ -428,7 +443,7 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
     tail_observed += sum(observed.values())
 
     if tail_expected > 0 or tail_observed > 0:
-        if tail_expected >= min_expected:
+        if tail_expected >= MIN_EXPECTED:
             retained.append([float(tail_observed), tail_expected])
         elif retained:
             retained[-1][0] += tail_observed
@@ -436,7 +451,7 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
         else:
             raise ValueError(
                 "insufficient samples after pooling: no bucket reaches "
-                "the minimum expected count %.1f" % min_expected
+                "the minimum expected count %.1f" % MIN_EXPECTED
             )
     if len(retained) < 2:
         raise ValueError(
@@ -453,7 +468,6 @@ def chi_square(dist, samples, *, min_expected=20.0, significance=0.01):
         dof=dof,
         p_value=_chi2_sf(dof, statistic),
         n_buckets=len(retained),
-        significance=significance,
     )
 
 
@@ -492,8 +506,8 @@ def _chi2_sf(dof, x):
     return q
 
 
-def recommend_cutoff(state, *, factor=10.0):
-    """Cutoff suggestion from mean occupations (at least factor * max n)."""
+def recommend_cutoff(state):
+    """Cutoff suggestion from mean occupations (at least CUTOFF_FACTOR * max n)."""
     means = state.mean_occupations()
     top = float(np.max(means)) if means.size else 0.0
-    return max(1, int(math.ceil(factor * top)))
+    return max(1, int(math.ceil(CUTOFF_FACTOR * top)))

@@ -75,30 +75,58 @@ class TestAssembly:
         np.testing.assert_array_equal(ham.dynamical[2:], ham.h[:2])
         assert np.max(np.abs(ham.dynamical - ham.dynamical.conj().T)) < 1e-12
 
-    def test_hermiticity_residual_reads_the_dynamical_form(self, rng):
-        """The stored layout of a complex model is not Hermitian, but its
-        dynamical form is, to the bit."""
-        ham = bdg.assemble_hamiltonian(random_coupling_blocks(rng, 2, 1))
-        assert np.max(np.abs(ham.h - ham.h.conj().T)) > 1e-3
-        assert ham.hermiticity_residual == 0.0
+    def test_dynamical_form_is_exactly_hermitian(self, rng):
+        """Random complex blocks nudged off their symmetries by roundoff are
+        stored exactly Hermitian, symmetric and real, so the dynamical form
+        of every M = 1-4 model, with every atom/photon split, equals its
+        conjugate transpose to the bit."""
+
+        def nudged(mat):
+            noise = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+            return mat + 1e-14 * noise
+
+        for m in range(1, 5):
+            for m_a in range(m + 1):
+                exact = random_coupling_blocks(rng, m_a, m - m_a)
+                blocks = model.CouplingBlocks(
+                    eps_a=nudged(exact.eps_a),
+                    eps_ph=exact.eps_ph,
+                    chi_phph=nudged(exact.chi_phph),
+                    chi_pha=exact.chi_pha,
+                    chit_aa=nudged(exact.chit_aa),
+                    chit_pha=nudged(exact.chit_pha),
+                )
+                assert np.array_equal(blocks.eps_a, blocks.eps_a.conj().T)
+                assert np.array_equal(blocks.chi_phph, blocks.chi_phph.conj().T)
+                assert np.array_equal(blocks.chit_aa, blocks.chit_aa.T)
+                assert not np.any(blocks.chit_pha.imag)
+                k = bdg.assemble_hamiltonian(blocks).dynamical
+                assert np.array_equal(k, k.conj().T), (m_a, m - m_a)
 
     def test_complex_pair_coupling_rejected(self):
-        blocks = two_mode_squeeze_blocks(1.0, 0.4)
-        blocks.chit_pha = np.array([[0.4j]])
-        with pytest.raises(ValueError, match="chit_pha must be real"):
-            bdg.assemble_hamiltonian(blocks)
+        """A complex chit_pha would assemble a non-Hermitian form, so it is
+        refused when the blocks are built."""
+        with pytest.raises(model.ConfigError, match="chit_pha must be real"):
+            model.CouplingBlocks(
+                eps_a=np.array([[1.0]], dtype=complex),
+                eps_ph=np.array([[1.0]], dtype=complex),
+                chi_phph=np.zeros((1, 1), dtype=complex),
+                chi_pha=np.zeros((1, 1), dtype=complex),
+                chit_aa=np.zeros((1, 1), dtype=complex),
+                chit_pha=np.array([[0.4j]]),
+            )
 
     def test_non_hermitian_energies_rejected(self):
-        blocks = model.CouplingBlocks(
-            eps_a=np.array([[1.0, 0.5], [0.1, 1.0]], dtype=complex),
-            eps_ph=np.zeros((0, 0), dtype=complex),
-            chi_phph=np.zeros((0, 0), dtype=complex),
-            chi_pha=np.zeros((0, 2), dtype=complex),
-            chit_aa=np.zeros((2, 2), dtype=complex),
-            chit_pha=np.zeros((0, 2), dtype=complex),
-        )
-        with pytest.raises(ValueError, match="Hermitian"):
-            bdg.assemble_hamiltonian(blocks)
+        """Non-Hermitian energies are refused when the blocks are built."""
+        with pytest.raises(model.ConfigError, match="eps_a is not Hermitian"):
+            model.CouplingBlocks(
+                eps_a=np.array([[1.0, 0.5], [0.1, 1.0]], dtype=complex),
+                eps_ph=np.zeros((0, 0), dtype=complex),
+                chi_phph=np.zeros((0, 0), dtype=complex),
+                chi_pha=np.zeros((0, 2), dtype=complex),
+                chit_aa=np.zeros((2, 2), dtype=complex),
+                chit_pha=np.zeros((0, 2), dtype=complex),
+            )
 
 
 class TestStability:

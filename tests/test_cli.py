@@ -4,11 +4,12 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from hybrid_sampler import bdg, model, pipeline, sampling
+from hybrid_sampler import bdg, blochmessiah, model, pipeline, sampling
 from hybrid_sampler.cli import _validate_cutoff, main
 
 T_HALF = 1.0 / math.log(2.0)
@@ -438,35 +439,50 @@ class TestValidate:
         assert main(["validate", "--config", config]) == 0
         assert expected in capsys.readouterr().out.splitlines()
 
-    def test_hamiltonian_line_reads_the_dynamical_form(self, capsys):
-        """A complex model's block-swapped layout is not Hermitian; the
-        residual validate prints is that of the Hermitian dynamical form."""
-        config = os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "data", "complex_three_mode.json"
-        )
+    def test_every_residual_line_names_its_limit(self, capsys):
+        """Each residual is printed beside the limit it was checked against,
+        the reconstruction limit scaled by max|A| = cosh r > 1 as the
+        Bloch-Messiah guard scales it.  There is no Hamiltonian line: the
+        blocks make the form exactly Hermitian when they are built."""
+        config = os.path.join(os.path.dirname(THERMAL_FILE), "squeezed_vacuum.json")
         assert main(["validate", "--config", config]) == 0
         lines = capsys.readouterr().out.splitlines()
+        with open(config, encoding="utf-8") as handle:
+            dec = pipeline.decomposition(model.load_config(handle.read()))
+        a_rec, b_rec = blochmessiah.bloch_messiah(dec).reconstruct()
+        rec = max(float(np.max(np.abs(a_rec - dec.a))), float(np.max(np.abs(b_rec - dec.b))))
+        scaled = blochmessiah.RECONSTRUCTION_LIMIT * float(np.max(np.abs(dec.a)))
+        assert scaled > blochmessiah.RECONSTRUCTION_LIMIT
         assert (
-            "PASS: hamiltonian Hermitian: dynamical form residual max|K - K^H| "
-            "0.000e+00 within the limit 1e-12" in lines
-        )
+            "PASS: squeeze reconstruction residual %.3e within the limit "
+            "1e-09 * max(1, max|A|) = %.3e" % (rec, scaled)
+        ) in lines
+        number = r"-?\d\.\d{3}e[+-]\d{2}"
+        labels = [
+            (re.escape("symplectic identity residual"), "1e-10"),
+            (re.escape("diagonalization residual"), "1e-09"),
+            (re.escape("spectrum cross-check difference"), "1e-10"),
+            (re.escape("V/W unitarity residual"), "1e-10"),
+            (re.escape("squeeze spectrum vs singular values"), "1e-09"),
+            (re.escape("normal correlator hermiticity residual"), "1e-10"),
+            ("normal correlator min eigenvalue %s, negativity" % number, "1e-10"),
+            (re.escape("covariance vs direct correlator"), "1e-10"),
+            (r"captured mass [\d.]+ \(clamped \d+\), excess over 1", "1e-09"),
+        ]
+        for label, limit in labels:
+            pattern = "PASS: %s %s within the limit %s" % (label, number, limit)
+            assert len([line for line in lines if re.fullmatch(pattern, line)]) == 1, label
+        assert not [line for line in lines if "hamiltonian" in line.lower()]
 
-    def test_non_hermitian_hamiltonian_fails(self, tmp_path, capsys, monkeypatch):
-        """The Hamiltonian check compares against its limit and names it."""
-        assemble = bdg.assemble_hamiltonian
-
-        def skewed(blocks):
-            ham = assemble(blocks)
-            ham.h[0, 1] += 1e-9
-            return ham
-
-        monkeypatch.setattr(bdg, "assemble_hamiltonian", skewed)
-        config = write_config(tmp_path, VACUUM)
+    def test_failing_line_names_its_limit(self, tmp_path, capsys, monkeypatch):
+        """A residual above its limit fails its line, which says so."""
+        monkeypatch.setattr(model.ModeBasis, "orthonormality_residual", lambda self: 2e-8)
+        config = write_config(tmp_path, GEOMETRY)
         assert main(["validate", "--config", config]) == 1
         out = capsys.readouterr().out
         assert (
-            "FAIL: hamiltonian not Hermitian: dynamical form residual 1.000e-09 "
-            "above the limit 1e-12" in out.splitlines()
+            "FAIL: mode basis orthonormality residual 2.000e-08 above the limit 1e-08"
+            in out.splitlines()
         )
         assert "validation FAILED" in out
 
@@ -606,6 +622,10 @@ class TestUsageAndExitCodes:
             (
                 ["sample", "--cutoff", "4", "--n", "3", "--seed", str(2**64)],
                 "--seed",
+            ),
+            (
+                ["sample", "--cutoff", "4", "--n", str(2**22 + 1), "--seed", "1"],
+                "--n",
             ),
         ],
     )

@@ -1,5 +1,6 @@
 """Config parsing, the 1-D mode basis and coupling-block integrals."""
 
+import dataclasses
 import json
 import math
 import re
@@ -208,6 +209,53 @@ class TestDirectBlocks:
                     "direct_blocks": {"eps_ph": [[1.0, 0.2], [0.2, 1.0]]},
                 }
             )
+
+
+class TestCouplingBlocks:
+    """A CouplingBlocks checks its blocks once, when it is built."""
+
+    @staticmethod
+    def blocks(**given):
+        fields = dict(
+            eps_a=np.array([[1.0]], dtype=complex),
+            eps_ph=np.array([[1.5]], dtype=complex),
+            chi_phph=np.zeros((1, 1), dtype=complex),
+            chi_pha=np.zeros((1, 1), dtype=complex),
+            chit_aa=np.zeros((1, 1), dtype=complex),
+            chit_pha=np.zeros((1, 1), dtype=complex),
+        )
+        fields.update(given)
+        return model.CouplingBlocks(**fields)
+
+    def test_real_pair_coupling_is_stored_exactly_real(self):
+        """An imaginary part within the limit is dropped, not carried on."""
+        blocks = self.blocks(chit_pha=np.array([[0.4 + 1e-13j]]))
+        assert blocks.chit_pha.dtype == complex
+        assert blocks.chit_pha[0, 0].real == 0.4
+        assert blocks.chit_pha[0, 0].imag == 0.0
+        assert math.copysign(1.0, blocks.chit_pha[0, 0].imag) == 1.0
+
+    def test_complex_cavity_energy_refused(self):
+        """A diagonal eps_ph must also be real: it is checked Hermitian."""
+        want = (
+            "eps_ph is not Hermitian: max|eps_ph - eps_ph^H| = 2.000e-03 exceeds "
+            "the limit 1e-12 * max(1, max|eps_ph|) = 1.000e-12"
+        )
+        with pytest.raises(model.ConfigError, match="^%s$" % re.escape(want)):
+            self.blocks(eps_ph=np.array([[1 + 1e-3j]]))
+
+    def test_fields_are_frozen(self):
+        blocks = self.blocks()
+        for name in ("eps_a", "eps_ph", "chi_phph", "chi_pha", "chit_aa", "chit_pha"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(blocks, name, np.zeros((1, 1), dtype=complex))
+
+    def test_checked_blocks_are_read_only(self):
+        """The blocks construction checked cannot be edited in place."""
+        blocks = self.blocks()
+        for name in ("eps_a", "eps_ph", "chi_phph", "chit_aa", "chit_pha"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(blocks, name)[0, 0] = 2.0
 
 
 class TestMatrixCoding:

@@ -369,6 +369,16 @@ class TestSample:
         with pytest.raises(ValueError, match="n_samples"):
             sampling.sample(dist, -5, seed=0)
 
+    def test_draw_count_limit(self):
+        """A count above MAX_DRAWS is refused before anything else, even on
+        a distribution too lossy to sample."""
+        state = make_state(thermal_blocks(1.0), T_HALF)
+        dist = sampling.enumerate_distribution(state, 1)
+        want = "n_samples = 4194305 exceeds the draw limit MAX_DRAWS = 4194304"
+        assert sampling.MAX_DRAWS == 2 ** 22
+        with pytest.raises(ValueError, match="^%s$" % want):
+            sampling.sample(dist, sampling.MAX_DRAWS + 1, seed=0)
+
 
 class TestChiSquare:
     def test_own_samples_pass(self):
@@ -460,6 +470,29 @@ class TestChiSquare:
         )
         assert not result.passed
 
+    def test_limits_are_constants(self):
+        """The pooling minimum and the pass threshold are module constants;
+        no argument moves them."""
+        assert (sampling.MIN_EXPECTED, sampling.SIGNIFICANCE) == (20.0, 0.01)
+        state = make_state(thermal_blocks(1.0), T_HALF)
+        dist = sampling.enumerate_distribution(state, 12)
+        draws = sampling.sample(dist, 1000, seed=2)
+        for option in ("min_expected", "significance"):
+            with pytest.raises(TypeError):
+                sampling.chi_square(dist, draws, **{option: 0.5})
+        with pytest.raises(TypeError):
+            sampling.ChiSquareResult(
+                statistic=1.0, dof=1, p_value=0.5, n_buckets=2, significance=0.6
+            )
+        at = sampling.ChiSquareResult(
+            statistic=1.0, dof=1, p_value=sampling.SIGNIFICANCE, n_buckets=2
+        )
+        above = sampling.ChiSquareResult(
+            statistic=1.0, dof=1, p_value=math.nextafter(sampling.SIGNIFICANCE, 1.0),
+            n_buckets=2,
+        )
+        assert not at.passed and above.passed
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
         dof=st.integers(1, 4096),
@@ -524,6 +557,12 @@ class TestRecommendCutoff:
     def test_thermal(self):
         state = make_state(thermal_blocks(1.0), T_HALF)
         assert sampling.recommend_cutoff(state) == 10
+
+    def test_factor_is_a_constant(self):
+        state = make_state(thermal_blocks(1.0), T_HALF)
+        assert sampling.CUTOFF_FACTOR == 10.0
+        with pytest.raises(TypeError):
+            sampling.recommend_cutoff(state, factor=5.0)
 
     def test_vacuum_floor(self):
         state = make_state(thermal_blocks(1.0), 0.0)

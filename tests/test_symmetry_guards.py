@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hybrid_sampler import bdg, blochmessiah, gaussian, hafnian, model, sampling
+from hybrid_sampler import blochmessiah, gaussian, hafnian, model, sampling
 from hybrid_sampler.bdg import BogoliubovDecomposition
 
 
@@ -43,10 +43,12 @@ def _config_block(key):
     return build
 
 
-def _validated_block(key):
+def _constructed_block(key):
+    """The block as a CouplingBlocks built from it stores it."""
+
     def build(x, monkeypatch):
         m_a, m_ph = (0, 2) if key == "chi_phph" else (2, 0)
-        blocks = model.CouplingBlocks(
+        fields = dict(
             eps_a=np.zeros((m_a, m_a)),
             eps_ph=np.zeros((m_ph, m_ph)),
             chi_phph=np.zeros((m_ph, m_ph)),
@@ -54,35 +56,8 @@ def _validated_block(key):
             chit_aa=np.zeros((m_a, m_a)),
             chit_pha=np.zeros((m_ph, m_a)),
         )
-        setattr(blocks, key, x)
-
-        def run():
-            blocks.validate()
-            return getattr(blocks, key)
-
-        return run
-
-    return build
-
-
-def _assembled_block(top):
-    """Blocks built by hand, which assemble_hamiltonian does not validate."""
-
-    def build(x, monkeypatch):
-        zero = np.zeros((2, 2), dtype=complex)
-        blocks = SimpleNamespace(
-            m_a=2, m_ph=0, m=2,
-            eps_a=x if top else zero,
-            eps_ph=np.zeros((0, 0)),
-            chi_aph=np.zeros((2, 0)),
-            chi_pha=np.zeros((0, 2)),
-            chi_phph=np.zeros((0, 0)),
-            chit_aa=zero if top else x,
-            chit_aph=np.zeros((2, 0)),
-            chit_pha=np.zeros((0, 2)),
-        )
-        part = (slice(0, 2), slice(2, 4)) if top else (slice(0, 2), slice(0, 2))
-        return lambda: bdg.assemble_hamiltonian(blocks).h[part]
+        fields[key] = x
+        return lambda: getattr(model.CouplingBlocks(**fields), key)
 
     return build
 
@@ -119,22 +94,20 @@ def _sampled_base_matrix(x, monkeypatch):
 # Every site that checks a matrix symmetry: (id, build, exception type,
 # matrix name, limit, hermitian, how the output is compared).  ``build``
 # takes X and returns a call that runs the site and returns what it hands
-# on; ``view`` maps 0.5 * (X + X^T) to the output expected from it.
+# on; ``view`` maps 0.5 * (X + X^T) to the output expected from it.  The
+# validate-* sites are the block checks a CouplingBlocks runs when it is
+# built.
 SITES = [
     ("config-hermitian", _config_block("eps_a"), model.ConfigError,
      "direct_blocks.eps_a", 1e-6, True, None),
     ("config-symmetric", _config_block("chit_aa"), model.ConfigError,
      "direct_blocks.chit_aa", 1e-6, False, None),
-    ("validate-eps_a", _validated_block("eps_a"), model.ConfigError,
+    ("validate-eps_a", _constructed_block("eps_a"), model.ConfigError,
      "eps_a", 1e-12, True, None),
-    ("validate-chi_phph", _validated_block("chi_phph"), model.ConfigError,
+    ("validate-chi_phph", _constructed_block("chi_phph"), model.ConfigError,
      "chi_phph", 1e-12, True, None),
-    ("validate-chit_aa", _validated_block("chit_aa"), model.ConfigError,
+    ("validate-chit_aa", _constructed_block("chit_aa"), model.ConfigError,
      "chit_aa", 1e-12, False, None),
-    ("assemble-eps+chi", _assembled_block(True), ValueError,
-     "(eps + chi)", 1e-12, True, None),
-    ("assemble-chi_t", _assembled_block(False), ValueError,
-     "chi_t", 1e-12, False, None),
     ("takagi", lambda x, mp: lambda: blochmessiah.takagi(x), ValueError,
      "N", 1e-10, False, blochmessiah.takagi),
     ("squeeze-kernel", _squeeze_kernel, blochmessiah.ReconstructionError,
