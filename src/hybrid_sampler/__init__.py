@@ -42,7 +42,7 @@ from .gaussian import (
 from .hafnian import (
     HafnianSizeError,
     hafnian_naive,
-    hafnian_powertrace,
+    hafnian_recursive,
 )
 from .model import (
     ConfigError,
@@ -106,7 +106,7 @@ __all__ = [
     "estimate_scattering_time",
     "extend_matrix",
     "hafnian_naive",
-    "hafnian_powertrace",
+    "hafnian_recursive",
     "load_config",
     "marginalize",
     "mean_occupations",

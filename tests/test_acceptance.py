@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hybrid_sampler import bdg, blochmessiah, gaussian, model, sampling
-from hybrid_sampler.hafnian import hafnian_naive, hafnian_powertrace
+from hybrid_sampler.hafnian import hafnian_naive, hafnian_recursive
 
 from conftest import (
     random_coupling_blocks,
@@ -119,17 +119,17 @@ def test_criterion_4_hafnian_oracle_equivalence():
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         mat = 0.5 * (mat + mat.T)
         naive = hafnian_naive(mat)
-        power = hafnian_powertrace(mat)
+        value = hafnian_recursive(mat)
         scale = max(1.0, abs(naive))
-        worst_route = max(worst_route, abs(power - naive) / scale)
+        worst_route = max(worst_route, abs(value - naive) / scale)
 
         perm = rng.permutation(dim)
-        permuted = hafnian_powertrace(mat[np.ix_(perm, perm)])
-        worst_perm = max(worst_perm, abs(permuted - power) / scale)
+        permuted = hafnian_recursive(mat[np.ix_(perm, perm)])
+        worst_perm = max(worst_perm, abs(permuted - value) / scale)
 
         c = 0.7 + 0.2j
-        scaled = hafnian_powertrace(c * mat)
-        want = c ** (dim // 2) * power
+        scaled = hafnian_recursive(c * mat)
+        want = c ** (dim // 2) * value
         worst_scale = max(
             worst_scale, abs(scaled - want) / max(1.0, abs(want))
         )
@@ -137,14 +137,14 @@ def test_criterion_4_hafnian_oracle_equivalence():
         whole = np.zeros((dim + 2, dim + 2), dtype=complex)
         whole[:dim, :dim] = mat
         whole[dim:, dim:] = partner
-        summed = hafnian_powertrace(whole)
-        want = power * partner_haf
+        summed = hafnian_recursive(whole)
+        want = value * partner_haf
         worst_sum = max(worst_sum, abs(summed - want) / max(1.0, abs(want)))
 
     big = rng.normal(size=(20, 20))
     big = 0.5 * (big + big.T)
     start = time.perf_counter()
-    hafnian_powertrace(big)
+    hafnian_recursive(big)
     big_time = time.perf_counter() - start
 
     ok = (

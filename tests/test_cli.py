@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through main()."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,8 +10,8 @@ import re
 import numpy as np
 import pytest
 
-from hybrid_sampler import bdg, blochmessiah, model, pipeline, sampling
-from hybrid_sampler.cli import _validate_cutoff, main
+from hybrid_sampler import bdg, gaussian, hafnian, model, pipeline, sampling
+from hybrid_sampler.cli import _format_complex, _validate_cutoff, main
 
 T_HALF = 1.0 / math.log(2.0)
 THERMAL_FILE = os.path.join(
@@ -170,9 +171,22 @@ class TestHaf:
         out = capsys.readouterr().out.splitlines()
         assert code == 0
         assert out[0] == "3 + 0i"
-        assert out[1].startswith("power-trace agreement:")
-        agreement = float(out[1].split(":")[1])
-        assert agreement < 1e-9
+        assert out[1] == "matching-sum agreement: 0.000e+00"
+
+    def test_cross_check_reads_the_matching_sum(self, tmp_path, capsys):
+        """At the cross-check limit the recursion's value is printed and its
+        distance from the matching sum follows it."""
+        rng = np.random.default_rng(5)
+        mat = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        mat = mat + mat.T
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in mat]))
+        assert main(["haf", "--matrix", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        value = hafnian.hafnian_recursive(mat)
+        assert out[0] == _format_complex(value)
+        assert out[1] == "matching-sum agreement: %.3e" % abs(hafnian.hafnian_naive(mat) - value)
+        assert float(out[1].split(":")[1]) <= 1e-12 * abs(value)
 
     def test_object_form(self, tmp_path, capsys):
         path = tmp_path / "mat.json"
@@ -197,7 +211,10 @@ class TestHaf:
         code = main(["haf", "--matrix", str(path)])
         out = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert "skipped" in out[1]
+        assert out[1] == (
+            "matching-sum agreement: skipped (size 14 above the naive "
+            "cross-check limit 12)"
+        )
 
     def test_asymmetric_matrix(self, tmp_path, capsys):
         path = tmp_path / "mat.json"
@@ -440,22 +457,21 @@ class TestValidate:
         assert expected in capsys.readouterr().out.splitlines()
 
     def test_every_residual_line_names_its_limit(self, capsys):
-        """Each residual is printed beside the limit it was checked against,
-        the reconstruction limit scaled by max|A| = cosh r > 1 as the
-        Bloch-Messiah guard scales it.  There is no Hamiltonian line: the
-        blocks make the form exactly Hermitian when they are built."""
+        """Each residual is printed beside the limit it was checked against.
+        There is no Hamiltonian line: the blocks make the form exactly
+        Hermitian when they are built.  Nor is there a squeeze
+        reconstruction line, and the captured mass is reported without a
+        limit: bloch_messiah and enumerate_distribution raise at those
+        limits themselves."""
         config = os.path.join(os.path.dirname(THERMAL_FILE), "squeezed_vacuum.json")
         assert main(["validate", "--config", config]) == 0
         lines = capsys.readouterr().out.splitlines()
         with open(config, encoding="utf-8") as handle:
-            dec = pipeline.decomposition(model.load_config(handle.read()))
-        a_rec, b_rec = blochmessiah.bloch_messiah(dec).reconstruct()
-        rec = max(float(np.max(np.abs(a_rec - dec.a))), float(np.max(np.abs(b_rec - dec.b))))
-        scaled = blochmessiah.RECONSTRUCTION_LIMIT * float(np.max(np.abs(dec.a)))
-        assert scaled > blochmessiah.RECONSTRUCTION_LIMIT
+            cfg = model.load_config(handle.read())
+        state = pipeline.gaussian_state(cfg)
+        dist = pipeline.distribution(cfg, _validate_cutoff(state), state=state)
         assert (
-            "PASS: squeeze reconstruction residual %.3e within the limit "
-            "1e-09 * max(1, max|A|) = %.3e" % (rec, scaled)
+            "PASS: captured mass %.12g (clamped %d)" % (dist.captured_mass, dist.clamped)
         ) in lines
         number = r"-?\d\.\d{3}e[+-]\d{2}"
         labels = [
@@ -467,12 +483,33 @@ class TestValidate:
             (re.escape("normal correlator hermiticity residual"), "1e-10"),
             ("normal correlator min eigenvalue %s, negativity" % number, "1e-10"),
             (re.escape("covariance vs direct correlator"), "1e-10"),
-            (r"captured mass [\d.]+ \(clamped \d+\), excess over 1", "1e-09"),
         ]
         for label, limit in labels:
             pattern = "PASS: %s %s within the limit %s" % (label, number, limit)
             assert len([line for line in lines if re.fullmatch(pattern, line)]) == 1, label
-        assert not [line for line in lines if "hamiltonian" in line.lower()]
+        assert len([line for line in lines if " the limit " in line]) == len(labels)
+        for word in ("hamiltonian", "reconstruction"):
+            assert not [line for line in lines if word in line.lower()]
+
+    def test_mass_above_one_ends_validate(self, tmp_path, capsys, monkeypatch):
+        """Enumeration refuses a captured mass above 1 + 1e-9 itself, so
+        validate ends with its message and exit 1, not with a FAIL line."""
+        build = gaussian.covariance
+
+        def scaled_up(dec, temperature):
+            state = build(dec, temperature)
+            return dataclasses.replace(state, log_norm=state.log_norm - 0.01)
+
+        monkeypatch.setattr(gaussian, "covariance", scaled_up)
+        config = write_config(tmp_path, THERMAL)
+        assert main(["validate", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"error: captured mass 1\.0\d+ exceeds 1 by more than 1\.0e-09; "
+            r"the state is invalid",
+            captured.err.splitlines()[0],
+        )
+        assert captured.out == ""
 
     def test_failing_line_names_its_limit(self, tmp_path, capsys, monkeypatch):
         """A residual above its limit fails its line, which says so."""

@@ -7,14 +7,18 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hybrid_sampler
+from hybrid_sampler import sampling
 from hybrid_sampler.hafnian import (
     HafnianSizeError,
     NAIVE_MAX_DIM,
-    POWERTRACE_MAX_DIM,
+    RECURSIVE_MAX_DIM,
     hafnian_naive,
-    hafnian_powertrace,
+    hafnian_recursive,
 )
 
 np.random.seed(42)
@@ -92,7 +96,7 @@ class TestNaive:
         """An asymmetry of 1e-6 is over the limit 1e-8 * max(1, max|A|)."""
         mat = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
         want = "exceeds the limit 1e-08 * max(1, max|A|) = 1.000e-08"
-        for route in (hafnian_naive, hafnian_powertrace):
+        for route in (hafnian_naive, hafnian_recursive):
             with pytest.raises(ValueError, match=re.escape(want)):
                 route(mat)
 
@@ -102,66 +106,60 @@ class TestNaive:
             hafnian_naive(big)
 
 
-class TestPowerTrace:
-    """The subset/power-trace route against the naive oracle."""
+class TestRecursive:
+    """The memoised pairing recursion against the naive oracle and the
+    Hermite box."""
 
-    def test_matches_naive(self):
-        """Route agreement on random complex symmetric matrices."""
-        for n in range(1, 7):
-            for _ in range(5):
-                mat = random_symmetric(2 * n)
-                ref = hafnian_naive(mat)
-                val = hafnian_powertrace(mat)
-                assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        parts=st.integers(0, 6).flatmap(
+            lambda n: arrays(np.float64, (2, 2 * n, 2 * n), elements=st.floats(-1.0, 1.0))
+        )
+    )
+    def test_matches_naive(self, parts):
+        """Route agreement on complex symmetric matrices of dimension 0-12,
+        entries in the unit square, zero entries and repeated values
+        included."""
+        mat = parts[0] + 1j * parts[1]
+        mat = 0.5 * (mat + mat.T)
+        ref = hafnian_naive(mat)
+        assert abs(hafnian_recursive(mat) - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_matrix_power_branch_matches_naive(self, monkeypatch):
-        """With the eigensolver failing, power sums come from matrix powers,
-        and the route still agrees with the naive oracle."""
-        def no_convergence(mats):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        calls = []
-        by_matmul = hybrid_sampler.hafnian._power_sums_by_matmul
-
-        def spy(mats, n):
-            calls.append(n)
-            return by_matmul(mats, n)
-
-        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
-        monkeypatch.setattr(hybrid_sampler.hafnian, "_power_sums_by_matmul", spy)
-        rng = np.random.default_rng(2024)
-        for dim in range(2, 13, 2):
-            for _ in range(3):
-                mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                mat = mat + mat.T
-                ref = hafnian_naive(mat)
-                val = hafnian_powertrace(mat)
-                assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
-        assert sorted(set(calls)) == [1, 2, 3, 4, 5, 6]
+    @pytest.mark.parametrize("dim", [16, 20, 22])
+    def test_matches_hermite_box(self, dim):
+        """The corner G(1, ..., 1) of the cutoff-1 Hermite box is haf(A)."""
+        rng = np.random.default_rng(dim)
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mat = mat + mat.T
+        box = sampling._hermite_box(mat, (2,) * dim).flat[-1]
+        assert abs(hafnian_recursive(mat) - box) <= 1e-14 * abs(box)
 
     def test_ones(self):
-        assert hafnian_powertrace(np.ones((6, 6))) == pytest.approx(15.0)
+        """haf(ones(2n)) counts the (2n - 1)!! perfect matchings."""
+        for dim in range(2, 26, 2):
+            want = math.prod(range(1, dim, 2))
+            assert abs(hafnian_recursive(np.ones((dim, dim))) - want) <= 1e-15 * want
 
     def test_empty(self):
-        assert hafnian_powertrace(np.zeros((0, 0))) == 1.0
+        assert hafnian_recursive(np.zeros((0, 0))) == 1.0
 
     def test_zero_matrix(self):
-        assert hafnian_powertrace(np.zeros((8, 8))) == pytest.approx(0.0, abs=1e-12)
+        assert hafnian_recursive(np.zeros((8, 8))) == 0.0
 
     def test_permutation_invariance(self):
         """haf(P A P^T) = haf(A) for any permutation P."""
         mat = random_symmetric(8)
         perm = np.random.permutation(8)
-        ref = hafnian_powertrace(mat)
-        val = hafnian_powertrace(mat[np.ix_(perm, perm)])
-        assert abs(val - ref) <= 1e-9 * abs(ref)
+        ref = hafnian_recursive(mat)
+        val = hafnian_recursive(mat[np.ix_(perm, perm)])
+        assert abs(val - ref) <= 1e-12 * abs(ref)
 
     def test_scaling(self):
         """haf(c A) = c^n haf(A) on a 2n-dimensional matrix."""
         mat = random_symmetric(6)
         c = 1.7 - 0.4j
-        ref = hafnian_powertrace(mat)
-        assert hafnian_powertrace(c * mat) == pytest.approx(c**3 * ref)
+        ref = hafnian_recursive(mat)
+        assert hafnian_recursive(c * mat) == pytest.approx(c**3 * ref)
 
     def test_direct_sum(self):
         """The hafnian is multiplicative over direct sums."""
@@ -170,29 +168,29 @@ class TestPowerTrace:
         whole = np.block(
             [[a, np.zeros((4, 4))], [np.zeros((4, 4)), b]]
         )
-        want = hafnian_powertrace(a) * hafnian_powertrace(b)
-        got = hafnian_powertrace(whole)
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        want = hafnian_recursive(a) * hafnian_recursive(b)
+        got = hafnian_recursive(whole)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
-    def test_large_entry_rescale(self):
-        """Entries far above the rescale threshold keep relative accuracy."""
+    def test_large_entries(self):
+        """Entries of order 1e6 keep relative accuracy without rescaling."""
         mat = random_symmetric(6, scale=1e6)
         small = hafnian_naive(mat / 1e6)
-        big = hafnian_powertrace(mat)
-        assert big == pytest.approx((1e6) ** 3 * small, rel=1e-9)
+        big = hafnian_recursive(mat)
+        assert big == pytest.approx((1e6) ** 3 * small, rel=1e-12)
 
     def test_size_cap(self):
-        big = np.zeros((POWERTRACE_MAX_DIM + 2, POWERTRACE_MAX_DIM + 2))
-        with pytest.raises(HafnianSizeError, match="hafnian_powertrace"):
-            hafnian_powertrace(big)
+        big = np.zeros((RECURSIVE_MAX_DIM + 2, RECURSIVE_MAX_DIM + 2))
+        with pytest.raises(HafnianSizeError, match="hafnian_recursive"):
+            hafnian_recursive(big)
 
     def test_twenty_by_twenty_runs(self):
         """A 20x20 instance stays finite and scales correctly."""
         mat = random_symmetric(20, scale=0.1)
-        val = hafnian_powertrace(mat)
+        val = hafnian_recursive(mat)
         assert np.isfinite(val)
-        doubled = hafnian_powertrace(2.0 * mat)
-        assert doubled == pytest.approx(2.0**10 * val, rel=1e-8)
+        doubled = hafnian_recursive(2.0 * mat)
+        assert doubled == pytest.approx(2.0**10 * val, rel=1e-12)
 
 
 class TestPackageNamespace:

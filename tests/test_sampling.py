@@ -1,5 +1,6 @@
 """Outcome probabilities, enumeration, sampling and goodness of fit."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -150,6 +151,16 @@ class TestEnumerate:
         dist = sampling.enumerate_distribution(state, 10)
         assert dist.captured_mass == pytest.approx(1.0 - 2.0**-11, abs=1e-12)
         assert len(dist.probabilities) == 11
+
+    def test_mass_above_one_is_refused(self):
+        """Weights scaled up by e^0.01 sum to about 1.0095 at cutoff 10,
+        over the 1 + 1e-9 a valid state can reach."""
+        state = make_state(thermal_blocks(1.0), T_HALF)
+        shifted = dataclasses.replace(state, log_norm=state.log_norm - 0.01)
+        with pytest.raises(
+            ValueError, match=r"captured mass 1\.0\d+ exceeds 1 by more than 1\.0e-09"
+        ):
+            sampling.enumerate_distribution(shifted, 10)
 
     def test_lexicographic_order(self):
         state = make_state(two_mode_squeeze_blocks(1.0, 0.4), 0.0)
