@@ -59,6 +59,7 @@ from .model import (
 )
 from .sampling import (
     ChiSquareResult,
+    Draws,
     ImaginaryResidualError,
     OutcomeDistribution,
     TruncationError,
@@ -78,6 +79,7 @@ __all__ = [
     "ConfigError",
     "CountsVector",
     "CouplingBlocks",
+    "Draws",
     "GaussianState",
     "GridResolutionError",
     "GridSpec",

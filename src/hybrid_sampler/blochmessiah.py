@@ -45,13 +45,19 @@ class ReconstructionError(RuntimeError):
 _SQUEEZE_CLAMP = 1e-12
 
 # Largest max|X - X^T| accepted, relative to max(1, max|X|), of a Takagi
-# input N and of the squeeze kernel Y.
+# input N.
 _TAKAGI_SYMMETRY_LIMIT = 1e-10
-_KERNEL_SYMMETRY_LIMIT = 1e-8
 
 # Largest residual of the reconstructed A and B accepted, relative to
 # max(1, max|A|).
 RECONSTRUCTION_LIMIT = 1e-9
+
+# Largest max|Y - Y^T| of the squeeze kernel accepted, relative to
+# max(1, max|Y|).  Symmetrizing Y moves the reconstructed B = -Y A* by
+# half that asymmetry times max|A| (exactly so for two modes), which
+# the reconstruction guard refuses above 2 * RECONSTRUCTION_LIMIT once
+# max|A| >= 1; at a looser limit the kernel check would never decide.
+_KERNEL_SYMMETRY_LIMIT = 2 * RECONSTRUCTION_LIMIT
 
 
 def takagi(mat):

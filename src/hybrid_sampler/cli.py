@@ -275,8 +275,12 @@ def _cmd_sample(args):
     cfg, digest = _load_config(args.config)
     _, dist = _distribution(args, cfg)
     draws = sampling.sample(dist, args.n, args.seed)
+    # One CSV row per lattice outcome, picked by each draw's flat index.
+    rows = [",".join(map(str, key)) for key in np.ndindex(dist.probabilities.shape)]
     lines = [",".join(_count_columns(dist.m_a, dist.m_ph))]
-    lines.extend(",".join(str(c) for c in d.key()) for d in draws)
+    lines.extend(map(rows.__getitem__, draws.indices.tolist()))
+    # The empty last line ends the payload with a newline without a copy.
+    lines.append("")
     meta = {
         "captured_mass": dist.captured_mass,
         "fingerprint": dist.fingerprint,
@@ -285,7 +289,7 @@ def _cmd_sample(args):
     }
     return _emit(
         args,
-        "\n".join(lines) + "\n",
+        "\n".join(lines),
         digest=digest,
         seed=args.seed,
         parameters={

@@ -20,12 +20,17 @@ boxes share one budget, MAX_BOX_ENTRIES.  The module also marginalizes,
 draws reproducible inverse-CDF samples, and checks samples against the
 enumerated distribution; the chi-square p-value comes from a closed
 form in ``math``, so the module needs numpy and the standard library only.
+
+``sample`` returns ``Draws``: a read-only sequence of CountsVector kept
+as flat lattice indices.  ``draws.counts`` is the (n, M) int array of the
+draws, and a Draws equals a list of the same CountsVectors; to
+concatenate draws with a list, convert them first, ``list(draws) + more``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +43,7 @@ __all__ = [
     "TruncationError",
     "OutcomeDistribution",
     "ChiSquareResult",
+    "Draws",
     "outcome_probability",
     "enumerate_distribution",
     "marginalize",
@@ -55,7 +61,8 @@ __all__ = [
 # Largest recurrence box, in entries: 256 MB of complex128.
 MAX_BOX_ENTRIES = 2 ** 24
 # Most draws one sample call makes: a `hybrid-sampler sample` run holds
-# about 90 B per draw, so at the limit it stays under about 0.4 GB.
+# about 24-36 B per draw besides its lattice, so at the limit the draws
+# take under about 0.15 GB.
 MAX_DRAWS = 2 ** 22
 
 # Largest imaginary part of a probability accepted, relative to its
@@ -110,8 +117,7 @@ class OutcomeDistribution:
         return self.m_a + self.m_ph
 
     def outcomes(self):
-        shape = self.probabilities.shape
-        return [_counts_vector(key, self.m_a) for key in np.ndindex(shape)]
+        return _outcomes(self.probabilities.shape, self.m_a)
 
     def probability(self, counts):
         key = _as_counts(counts, self.m_a, self.m_ph).key()
@@ -136,9 +142,75 @@ class ChiSquareResult:
         return "pass" if self.passed else "fail"
 
 
+class Draws(Sequence):
+    """Draws of one ``sample`` call: a read-only sequence of CountsVector.
+
+    The draws are kept as flat (C-order) indices into the lattice of
+    ``shape``.  An int index gives a CountsVector, a slice gives a Draws,
+    and draws of one outcome share one CountsVector.  A Draws equals
+    another over the same lattice with the same indices, and a list of
+    the same CountsVectors.
+
+    Attributes:
+        indices: read-only intp array, one flat lattice index per draw
+        shape: lattice shape, (cutoff + 1,) * M
+        m_a: atom modes in each outcome
+    """
+
+    def __init__(self, indices, shape, m_a):
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.indices.flags.writeable = False
+        self.shape = tuple(shape)
+        self.m_a = m_a
+        self._table = None
+        size = math.prod(self.shape)
+        if self.indices.size and not 0 <= self.indices.min() <= self.indices.max() < size:
+            raise ValueError("draw indices must lie in [0, %d)" % size)
+
+    def _outcome_table(self):
+        if self._table is None:
+            self._table = _outcomes(self.shape, self.m_a)
+        return self._table
+
+    @property
+    def counts(self):
+        """The draws as an (n, M) int array, atoms first."""
+        return np.stack(np.unravel_index(self.indices, self.shape), axis=-1)
+
+    def __len__(self):
+        return self.indices.size
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return Draws(self.indices[item], self.shape, self.m_a)
+        return self._outcome_table()[self.indices[item]]
+
+    def __iter__(self):
+        return map(self._outcome_table().__getitem__, self.indices.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Draws):
+            return (
+                self.shape == other.shape
+                and self.m_a == other.m_a
+                and np.array_equal(self.indices, other.indices)
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self):
+        return "Draws(%d draws over the lattice %s)" % (len(self), self.shape)
+
+
 def _counts_vector(key, m_a):
     key = tuple(int(k) for k in key)
     return CountsVector(atoms=key[:m_a], photons=key[m_a:])
+
+
+def _outcomes(shape, m_a):
+    """Every outcome of the lattice ``shape`` in lexicographic count order."""
+    return [_counts_vector(key, m_a) for key in np.ndindex(shape)]
 
 
 def _as_counts(counts, m_a, m_ph):
@@ -362,7 +434,8 @@ def sample(dist, n_samples, seed):
         seed (int): 64-bit PRNG key
 
     Returns:
-        list[CountsVector]; draws of one outcome share one CountsVector
+        Draws, a read-only sequence of CountsVector backed by flat lattice
+        indices; draws of one outcome share one CountsVector
 
     Raises:
         ValueError: n_samples negative or above MAX_DRAWS, before any allocation.
@@ -387,10 +460,7 @@ def sample(dist, n_samples, seed):
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     indices = np.searchsorted(cdf, rng.random(n_samples), side="right")
-    draws = np.fromiter(dist.outcomes(), dtype=object, count=cdf.size)[indices]
-    # At most two n-length arrays are alive at once.
-    del indices
-    return draws.tolist()
+    return Draws(indices, dist.probabilities.shape, dist.m_a)
 
 
 def chi_square(dist, samples):
@@ -399,48 +469,51 @@ def chi_square(dist, samples):
     Outcomes whose expected count falls below MIN_EXPECTED are pooled
     into a tail bucket (merged into the last retained bucket when the
     tail itself stays below the minimum).  Draws are counted by value:
-    equal CountsVectors share a bucket whether or not they are one object.
+    a Draws over this lattice by its indices, any other sequence by the
+    key() of each CountsVector; a draw with a count above the cutoff
+    joins the tail.
 
     Args:
         dist (OutcomeDistribution): reference distribution
-        samples: list of CountsVector draws
+        samples: Draws, or a sequence of CountsVector
 
     Returns:
         ChiSquareResult, which passes when the p-value exceeds SIGNIFICANCE
 
     Raises:
-        ValueError: no samples, or too few to form two buckets.
+        ValueError: no samples, draws with another mode count, or too few
+            samples to form two buckets.
     """
     if not samples:
         raise ValueError("no samples given")
     n = len(samples)
-    # Hashing a CountsVector runs Python code, so the draws are counted by
-    # object in numpy first and the few distinct objects merged by value.
-    # The ids are sorted in place, so two n-length arrays are alive at once;
-    # sorted order is unique, so order[j] is a draw whose id is ids[j].
-    ids = np.fromiter(map(id, samples), dtype=np.uintp, count=n)
-    order = ids.argsort(kind="stable")
-    ids.sort()
-    heads = np.append(0, np.flatnonzero(ids[1:] != ids[:-1]) + 1)
-    firsts = order[heads].tolist()
-    del ids, order
-    observed = Counter()
-    for position, count in zip(firsts, np.diff(heads, append=n).tolist()):
-        observed[samples[position]] += count
+    shape = dist.probabilities.shape
+    size = dist.probabilities.size
+    if isinstance(samples, Draws) and samples.shape == shape:
+        flat = samples.indices
+    else:
+        keys = np.array([counts.key() for counts in samples], dtype=np.intp)
+        if keys.shape[1] != dist.m:
+            raise ValueError(
+                "draws have %d modes, the distribution has %d" % (keys.shape[1], dist.m)
+            )
+        outside = np.any((keys < 0) | (keys > dist.cutoff), axis=1)
+        flat = np.where(
+            outside, size, np.ravel_multi_index(tuple(keys.T), shape, mode="clip")
+        )
+    # The last slot counts the draws outside the lattice.
+    observed = np.bincount(flat, minlength=size + 1).tolist()
 
     retained = []
     tail_expected = 0.0
-    tail_observed = 0
-    for counts, value in zip(dist.outcomes(), dist.probabilities.ravel().tolist()):
+    tail_observed = observed[-1]
+    for seen, value in zip(observed, dist.probabilities.ravel().tolist()):
         expected = value / dist.captured_mass * n
-        seen = observed.pop(counts, 0)
         if expected >= MIN_EXPECTED:
             retained.append([float(seen), expected])
         else:
             tail_expected += expected
             tail_observed += seen
-    # What is left was drawn outside the lattice.
-    tail_observed += sum(observed.values())
 
     if tail_expected > 0 or tail_observed > 0:
         if tail_expected >= MIN_EXPECTED:

@@ -362,7 +362,7 @@ class TestBlochMessiah:
         )
         want = (
             "Y is not symmetric: max|Y - Y^T| = 5.000e-01 exceeds the limit "
-            "1e-08 * max(1, max|Y|) = 1.000e-08"
+            "2e-09 * max(1, max|Y|) = 2.000e-09"
         )
         with pytest.raises(blochmessiah.ReconstructionError, match=re.escape(want)):
             blochmessiah.bloch_messiah(dec)
@@ -379,10 +379,33 @@ class TestBlochMessiah:
             blochmessiah.bloch_messiah(dec)
 
     def test_reconstruction_message_names_its_scaled_limit(self):
-        """A = 2 and B = -2 Y with Y 5e-9 off symmetric: the kernel passes
-        its 1e-8 limit, but the symmetrized kernel reproduces B only to
-        5e-9, over the limit 1e-9 * max(1, max|A|) = 2e-9."""
-        y = np.array([[0.1, 0.2 + 5e-9], [0.2, 0.1]])
+        """B = -Y A* with Y 1.5e-9 off symmetric in two entries of its first
+        row: the kernel passes its 2e-9 limit, but the symmetrized kernel
+        moves row 0 of B by 1.5e-9 / 2 * (A_11 + A_21) = 3e-9, over the
+        limit 1e-9 * max(1, max|A|) = 2e-9."""
+        a = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 2.0, 2.0]])
+        y = np.array([[0.1, 0.2, 0.05], [0.2, 0.1, 0.05], [0.05, 0.05, 0.1]])
+        y[0, 1:] += 1.5e-9
+        dec = BogoliubovDecomposition(
+            energies=np.ones(3),
+            a=a.astype(complex),
+            b=(-y @ a).astype(complex),
+            m_a=3,
+            m_ph=0,
+        )
+        want = (
+            "Bloch-Messiah reconstruction residual 3.000e-09 exceeds the limit "
+            "1e-09 * max(1, max|A|) = 2.000e-09"
+        )
+        with pytest.raises(blochmessiah.ReconstructionError, match=re.escape(want)):
+            blochmessiah.bloch_messiah(dec)
+
+    @pytest.mark.parametrize("asymmetry, shown", [(5e-9, "5.000e-09"), (1e-6, "1.000e-06")])
+    def test_kernel_limit_decides_before_reconstruction(self, asymmetry, shown):
+        """A = 2 and B = -2 Y: symmetrizing Y would move B by the asymmetry
+        itself, over the reconstruction limit 2e-9, and the kernel check at
+        twice RECONSTRUCTION_LIMIT refuses the pair first, naming Y."""
+        y = np.array([[0.1, 0.2 + asymmetry], [0.2, 0.1]])
         dec = BogoliubovDecomposition(
             energies=np.ones(2),
             a=2.0 * np.eye(2, dtype=complex),
@@ -391,10 +414,10 @@ class TestBlochMessiah:
             m_ph=0,
         )
         want = (
-            "Bloch-Messiah reconstruction residual 5.000e-09 exceeds the limit "
-            "1e-09 * max(1, max|A|) = 2.000e-09"
+            "Y is not symmetric: max|Y - Y^T| = %s exceeds the limit "
+            "2e-09 * max(1, max|Y|) = 2.000e-09" % shown
         )
-        with pytest.raises(blochmessiah.ReconstructionError, match=re.escape(want)):
+        with pytest.raises(blochmessiah.ReconstructionError, match="^%s$" % re.escape(want)):
             blochmessiah.bloch_messiah(dec)
 
     def test_spectrum_accessor_copies(self):

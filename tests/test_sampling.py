@@ -1,5 +1,6 @@
 """Outcome probabilities, enumeration, sampling and goodness of fit."""
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -653,11 +654,11 @@ def cavity_distribution():
     return pipeline.distribution(cfg, 3)
 
 
-def random_distribution():
-    """A seeded complex model with two atom modes and one photon mode at
-    cutoff 3, the shape of the random state the query benchmark samples."""
+def random_distribution(cutoff=3):
+    """A seeded complex model with two atom modes and one photon mode, at
+    cutoff 3 the shape of the random state the query benchmark samples."""
     blocks, _, _ = stable_instance(np.random.default_rng(31337), 2, 1)
-    return pipeline.distribution(direct_config(blocks, 0.45), 3)
+    return pipeline.distribution(direct_config(blocks, 0.45), cutoff)
 
 
 def draw_digest(draws):
@@ -721,7 +722,7 @@ class TestCountingByValue:
         shared = sampling.sample(dist, 100_000, seed=20240601)
         fresh = self.copies(shared)
         assert not any(a is b for a, b in zip(shared, fresh))
-        mixed = shared[::2] + fresh[1::2]
+        mixed = list(shared[::2]) + fresh[1::2]
         random.Random(3).shuffle(mixed)
         want = result_fields(sampling.chi_square(dist, shared))
         for draws in (fresh, mixed):
@@ -734,8 +735,94 @@ class TestCountingByValue:
         outside = [CountsVector(atoms=(4,), photons=(0, 1))] * 30 + [
             CountsVector(atoms=(0,), photons=(5, 0))
         ] * 15
-        mixed = self.copies(shared[:50_000]) + shared[50_000:] + self.copies(outside)
+        mixed = self.copies(shared[:50_000]) + list(shared[50_000:]) + self.copies(outside)
         random.Random(4).shuffle(mixed)
-        result = sampling.chi_square(dist, shared + outside)
+        result = sampling.chi_square(dist, list(shared) + outside)
         assert result_fields(sampling.chi_square(dist, mixed)) == result_fields(result)
         assert_fields_near(result, (114.08237862105821, 6, 2.843791486257541e-22, 7))
+
+
+def reference_chi_square(dist, draws):
+    """chi_square's pooling written out over a Counter of draw keys: the
+    lattice in lexicographic order, then the draws outside it in the tail."""
+    n = len(draws)
+    observed = collections.Counter(d.key() for d in draws)
+    retained, tail_expected, tail_observed = [], 0.0, 0
+    for key in np.ndindex(dist.probabilities.shape):
+        expected = float(dist.probabilities[key]) / dist.captured_mass * n
+        seen = observed.pop(key, 0)
+        if expected >= sampling.MIN_EXPECTED:
+            retained.append([float(seen), expected])
+        else:
+            tail_expected += expected
+            tail_observed += seen
+    tail_observed += sum(observed.values())
+    if tail_expected >= sampling.MIN_EXPECTED:
+        retained.append([float(tail_observed), tail_expected])
+    else:
+        retained[-1][0] += tail_observed
+        retained[-1][1] += tail_expected
+    statistic = math.fsum((obs - exp) ** 2 / exp for obs, exp in retained)
+    return statistic, len(retained) - 1, len(retained)
+
+
+class TestDraws:
+    """The Draws sequence sample returns, as the benchmark's checker and
+    chi_square read it."""
+
+    def test_sequence_contract(self):
+        dist = cavity_distribution()
+        draws = sampling.sample(dist, 10_000, seed=5)
+        again = sampling.sample(dist, 10_000, seed=5)
+        assert len(draws) == 10_000
+        spots = draws[::100]
+        assert isinstance(spots, sampling.Draws) and len(spots) == 100
+        assert all(isinstance(d, CountsVector) for d in spots)
+        assert [d.key() for d in spots] == [d.key() for d in list(draws)[::100]]
+        assert draws[-1] is list(draws)[-1]
+        with pytest.raises(IndexError):
+            draws[10_000]
+        assert (draws != again) is False
+        assert (draws == again) is True
+        assert (draws != sampling.sample(dist, 10_000, seed=6)) is True
+        assert draws == list(draws) and list(draws) == draws
+        zero = sampling.sample(dist, 0, seed=5)
+        assert zero == [] and [] == zero and len(zero) == 0
+        assert zero.counts.shape == (0, 3)
+
+    def test_indices_are_read_only_and_inside_the_lattice(self):
+        draws = sampling.sample(cavity_distribution(), 1_000, seed=5)
+        for indices in (draws.indices, draws[10:20].indices):
+            with pytest.raises(ValueError, match="read-only"):
+                indices[0] = 1
+        for indices in ([0, 64], [-1, 3]):
+            with pytest.raises(ValueError, match=re.escape("must lie in [0, 64)")):
+                sampling.Draws(indices, (4, 4, 4), 1)
+
+    def test_counts_array(self):
+        draws = sampling.sample(random_distribution(), 10_000, seed=5)
+        counts = draws.counts
+        assert counts.dtype.kind == "i" and counts.shape == (10_000, 3)
+        np.testing.assert_array_equal(counts, np.array([d.key() for d in draws]))
+
+    def test_chi_square_by_index_and_by_value_agree(self):
+        """On a Draws, on list(draws), and on draws from a wider lattice of
+        the same state, whose rows above the cutoff join the tail: every
+        field bit for bit equal to the reference count by key."""
+        dist = random_distribution()
+        draws = sampling.sample(dist, 100_000, seed=2**64 - 1)
+        wider = sampling.sample(random_distribution(6), 100_000, seed=2**64 - 1)
+        assert np.count_nonzero(np.any(wider.counts > dist.cutoff, axis=1)) > 0
+        for sample in (draws, list(draws), wider, list(wider)):
+            result = sampling.chi_square(dist, sample)
+            statistic, dof, n_buckets = reference_chi_square(dist, sample)
+            assert (result.statistic, result.dof, result.n_buckets) == (
+                statistic, dof, n_buckets
+            )
+            assert result.p_value == sampling._chi2_sf(dof, statistic)
+
+    def test_chi_square_refuses_another_mode_count(self):
+        dist = cavity_distribution()
+        draws = [CountsVector(atoms=(0,), photons=(0,))] * 100
+        with pytest.raises(ValueError, match="draws have 2 modes, the distribution has 3"):
+            sampling.chi_square(dist, draws)

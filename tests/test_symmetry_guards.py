@@ -111,7 +111,7 @@ SITES = [
     ("takagi", lambda x, mp: lambda: blochmessiah.takagi(x), ValueError,
      "N", 1e-10, False, blochmessiah.takagi),
     ("squeeze-kernel", _squeeze_kernel, blochmessiah.ReconstructionError,
-     "Y", 1e-8, False, None),
+     "Y", 2e-9, False, None),
     ("base-matrix", None, ValueError, "C", 1e-8, False, None),
     ("sampling", _sampled_base_matrix, ValueError, "C", 1e-8, False, None),
     ("haf", lambda x, mp: lambda: hafnian.hafnian_naive(x), ValueError,
