@@ -37,7 +37,6 @@ from .gaussian import (
     base_matrix,
     covariance,
     extend_matrix,
-    mean_occupations,
 )
 from .hafnian import (
     HafnianSizeError,
@@ -111,7 +110,6 @@ __all__ = [
     "hafnian_recursive",
     "load_config",
     "marginalize",
-    "mean_occupations",
     "mode_functions",
     "outcome_probability",
     "recommend_cutoff",

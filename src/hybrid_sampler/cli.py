@@ -227,10 +227,17 @@ def _distribution(args, cfg):
     return state, sampling.enumerate_distribution(state, args.cutoff)
 
 
+def _count_rows(shape):
+    """One CSV row of counts per lattice outcome, in flat index order; an
+    object array, so draws pick their rows without a Python int each."""
+    return np.array([",".join(map(str, key)) for key in np.ndindex(shape)], dtype=object)
+
+
 def _pdf_csv(dist):
     lines = [",".join(_count_columns(dist.m_a, dist.m_ph) + ["probability"])]
-    for key in np.ndindex(dist.probabilities.shape):
-        lines.append(",".join(map(str, key)) + "," + repr(float(dist.probabilities[key])))
+    rows = _count_rows(dist.probabilities.shape)
+    for row, value in zip(rows, dist.probabilities.ravel().tolist()):
+        lines.append(row + "," + repr(value))
     return "\n".join(lines) + "\n"
 
 
@@ -275,10 +282,8 @@ def _cmd_sample(args):
     cfg, digest = _load_config(args.config)
     _, dist = _distribution(args, cfg)
     draws = sampling.sample(dist, args.n, args.seed)
-    # One CSV row per lattice outcome, picked by each draw's flat index.
-    rows = [",".join(map(str, key)) for key in np.ndindex(dist.probabilities.shape)]
     lines = [",".join(_count_columns(dist.m_a, dist.m_ph))]
-    lines.extend(map(rows.__getitem__, draws.indices.tolist()))
+    lines.extend(_count_rows(dist.probabilities.shape)[draws.indices])
     # The empty last line ends the payload with a newline without a copy.
     lines.append("")
     meta = {
@@ -371,10 +376,8 @@ def _validate_lines(cfg):
     checks.append(_within("squeeze spectrum vs singular values", sv_delta, 1e-9))
 
     state = gaussian.covariance(dec, cfg.temperature)
-    normal = state.g[: dec.m, : dec.m]
-    herm = float(np.max(np.abs(normal - normal.conj().T)))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (normal + normal.conj().T))[0])
-    checks.append(_within("normal correlator hermiticity residual", herm, 1e-10))
+    # covariance stores 0.5 * (G + G^H): the normal block is exactly Hermitian.
+    min_eig = float(np.linalg.eigvalsh(state.g[: dec.m, : dec.m])[0])
     label = "normal correlator min eigenvalue %.3e, negativity" % min_eig
     checks.append(_within(label, max(0.0, -min_eig), 1e-10))
 
@@ -389,8 +392,8 @@ def _validate_lines(cfg):
     corr = float(np.max(np.abs(direct - state.g)))
     checks.append(_within("covariance vs direct correlator", corr, 1e-10))
 
-    cutoff = _validate_cutoff(state)
-    if cutoff is None:
+    cutoff = sampling.recommend_cutoff(state)
+    if cutoff < 1:
         checks.append((True, "distribution checks skipped (lattice budget too small for M=%d)" % dec.m))
         return checks
     dist = sampling.enumerate_distribution(state, cutoff)
@@ -424,16 +427,6 @@ def _validate_lines(cfg):
     else:
         checks.append((True, "sampling skipped (captured mass %.6g <= 0.99)" % dist.captured_mass))
     return checks
-
-
-def _validate_cutoff(state):
-    """Recommended cutoff, capped by the lattice budget; None if even 1 is over."""
-    largest = 0
-    while (largest + 2) ** (2 * state.m) <= sampling.MAX_BOX_ENTRIES:
-        largest += 1
-    if largest < 1:
-        return None
-    return min(sampling.recommend_cutoff(state), largest)
 
 
 def _cmd_validate(args):

@@ -5,9 +5,9 @@ described by the normal/anomalous correlator matrix
 
     G = <(c^dag, c)^T (c, c^dag)> - vacuum part
 
-in the bare-mode basis.  From G one derives the base matrix C whose
-replicated hafnians give the joint count distribution, together with the
-normalization 1 / sqrt(det(1 + G)).
+in the bare-mode basis.  A frozen GaussianState built from G derives, once,
+the base matrix C whose replicated hafnians give the joint count
+distribution, together with the normalization 1 / sqrt(det(1 + G)).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "covariance",
     "base_matrix",
     "extend_matrix",
-    "mean_occupations",
     "SYMMETRY_LIMIT",
 ]
 
@@ -54,27 +53,47 @@ class CountsVector:
         return "n=%s q=%s" % (list(self.atoms), list(self.photons))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianState:
     """Bare-mode correlators of the quasi-equilibrium state.
+
+    Built from G, the temperature and the partition alone: a negative mode
+    count, or a G whose shape disagrees with the partition, is refused, and
+    C and log_norm are derived once by ``base_matrix``, which checks them.
+    G and C are read-only.
 
     Attributes:
         g: 2M x 2M correlator matrix, blocks [[<c^dag c>^T, <c^dag c^dag>],
             [<c c>, <c c^dag>^T]] ordered to match the (c^dag, c) vector
         temperature: quasiparticle temperature the state was built at
-        c: 2M x 2M base matrix entering the hafnian count formula
-        log_norm: log sqrt(det(1 + G)), subtracted from every log weight
         m_a: number of atom modes
         m_ph: number of photon modes
+        c: 2M x 2M base matrix entering the hafnian count formula
+        log_norm: log sqrt(det(1 + G)), subtracted from every log weight
     """
 
     g: np.ndarray
     temperature: float
-    c: np.ndarray
-    log_norm: float
     m_a: int
     m_ph: int
-    _fingerprint: str = field(default="", repr=False)
+    c: np.ndarray = field(init=False, repr=False)
+    log_norm: float = field(init=False)
+
+    def __post_init__(self):
+        if min(self.m_a, self.m_ph) < 0:
+            raise ValueError("m_a = %d, m_ph = %d: mode counts must be >= 0" % (self.m_a, self.m_ph))
+        g = np.array(self.g, dtype=complex)
+        two_m = 2 * self.m
+        if g.shape != (two_m, two_m):
+            raise ValueError(
+                "G has shape %s, but the partition m_a = %d, m_ph = %d needs %s"
+                % (g.shape, self.m_a, self.m_ph, (two_m, two_m))
+            )
+        c, log_norm = base_matrix(g)
+        g.flags.writeable = c.flags.writeable = False
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "log_norm", log_norm)
 
     @property
     def m(self):
@@ -87,14 +106,12 @@ class GaussianState:
 
     def fingerprint(self):
         """Hex digest identifying the state (correlators + partition)."""
-        if not self._fingerprint:
-            h = hashlib.sha256()
-            h.update(np.ascontiguousarray(self.g).tobytes())
-            h.update(np.float64(self.temperature).tobytes())
-            h.update(np.int64(self.m_a).tobytes())
-            h.update(np.int64(self.m_ph).tobytes())
-            object.__setattr__(self, "_fingerprint", h.hexdigest())
-        return self._fingerprint
+        h = hashlib.sha256()
+        h.update(self.g.tobytes())
+        h.update(np.float64(self.temperature).tobytes())
+        h.update(np.int64(self.m_a).tobytes())
+        h.update(np.int64(self.m_ph).tobytes())
+        return h.hexdigest()
 
 
 def covariance(dec, temperature):
@@ -127,20 +144,7 @@ def covariance(dec, temperature):
     # G is Hermitian up to roundoff by construction.
     g = 0.5 * (g + g.conj().T)
 
-    c, log_norm = base_matrix(g)
-    return GaussianState(
-        g=g,
-        temperature=float(temperature),
-        c=c,
-        log_norm=log_norm,
-        m_a=dec.m_a,
-        m_ph=dec.m_ph,
-    )
-
-
-def mean_occupations(state):
-    """Per-mode expected counts of a state (atoms first, then photons)."""
-    return state.mean_occupations()
+    return GaussianState(g=g, temperature=float(temperature), m_a=dec.m_a, m_ph=dec.m_ph)
 
 
 def base_matrix(g):
@@ -151,14 +155,11 @@ def base_matrix(g):
     within SYMMETRY_LIMIT here and then imposed exactly.
 
     Args:
-        g (array or GaussianState): 2M x 2M correlator matrix, or a state
-            whose correlator matrix to use
+        g (array): 2M x 2M correlator matrix
 
     Returns:
         tuple[array, float]: the base matrix and log sqrt(det(1 + G)).
     """
-    if isinstance(g, GaussianState):
-        g = g.g
     g = np.asarray(g, dtype=complex)
     two_m = g.shape[0]
     if g.ndim != 2 or g.shape[1] != two_m or two_m % 2:

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import SYMMETRY_LIMIT, CountsVector
-from .model import symmetrized
+from .gaussian import CountsVector
 
 __all__ = [
     "ImaginaryResidualError",
@@ -61,7 +60,7 @@ __all__ = [
 # Largest recurrence box, in entries: 256 MB of complex128.
 MAX_BOX_ENTRIES = 2 ** 24
 # Most draws one sample call makes: a `hybrid-sampler sample` run holds
-# about 24-36 B per draw besides its lattice, so at the limit the draws
+# about 24 B per draw besides its lattice, so at the limit the draws
 # take under about 0.15 GB.
 MAX_DRAWS = 2 ** 22
 
@@ -316,7 +315,7 @@ def _lattice(state, extents, quantity, remedy):
             "lattice budget exceeded: %s = %d box entries is above the "
             "limit %d; %s" % (quantity, side * side, MAX_BOX_ENTRIES, remedy)
         )
-    box = _hermite_box(symmetrized(state.c, SYMMETRY_LIMIT, "C"), extents * 2)
+    box = _hermite_box(state.c, extents * 2)
     diagonal = box.reshape(side, side).diagonal().reshape(extents)
     return _probabilities(state, diagonal)
 
@@ -580,7 +579,15 @@ def _chi2_sf(dof, x):
 
 
 def recommend_cutoff(state):
-    """Cutoff suggestion from mean occupations (at least CUTOFF_FACTOR * max n)."""
+    """Cutoff suggestion: CUTOFF_FACTOR * the largest mean occupation, at
+    least 1, capped at the largest cutoff c whose lattice fits the budget,
+    (c + 1)^(2M) <= MAX_BOX_ENTRIES; 0 when only the vacuum fits."""
     means = state.mean_occupations()
     top = float(np.max(means)) if means.size else 0.0
-    return max(1, int(math.ceil(CUTOFF_FACTOR * top)))
+    cutoff = max(1, int(math.ceil(CUTOFF_FACTOR * top)))
+    if state.m:
+        # The float root is off by far less than one; the loop settles it.
+        cutoff = min(cutoff, math.floor(MAX_BOX_ENTRIES ** (0.5 / state.m)))
+        while (cutoff + 1) ** (2 * state.m) > MAX_BOX_ENTRIES:
+            cutoff -= 1
+    return cutoff

@@ -1,5 +1,7 @@
 """Shared helpers: random stable instances and config builders."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,20 @@ def two_mode_squeeze_blocks(e, t):
         chit_aa=np.zeros((1, 1), dtype=complex),
         chit_pha=np.array([[t]], dtype=complex),
     )
+
+
+def doctored(state, **changes):
+    """A stand-in for a GaussianState with some attributes replaced.
+
+    A GaussianState derives C and log_norm from G and cannot be changed,
+    so a guard downstream of it is reached through this stand-in, which
+    carries the state's attributes and methods.
+    """
+    names = ("g", "temperature", "m_a", "m_ph", "c", "log_norm", "m")
+    fields = {name: getattr(state, name) for name in names}
+    fields.update(mean_occupations=state.mean_occupations, fingerprint=state.fingerprint)
+    fields.update(changes)
+    return SimpleNamespace(**fields)
 
 
 @pytest.fixture

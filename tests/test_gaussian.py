@@ -1,12 +1,13 @@
 """Thermal correlators, base matrices and their replication."""
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from hybrid_sampler import bdg, gaussian
+from hybrid_sampler import bdg, gaussian, model
 from hybrid_sampler.gaussian import CountsVector
 
 from conftest import (
@@ -94,12 +95,6 @@ class TestCovariance:
                 want = correlator_reference(dec, temperature)
                 assert np.max(np.abs(state.g - want)) < 1e-10
 
-    def test_mean_occupations_function(self):
-        state = gaussian.covariance(decompose(thermal_blocks(1.0)), T_HALF)
-        np.testing.assert_allclose(
-            gaussian.mean_occupations(state), [1.0], atol=1e-12
-        )
-
     def test_fingerprint_is_stable_and_discriminating(self):
         dec = decompose(thermal_blocks(1.0))
         state1 = gaussian.covariance(dec, T_HALF)
@@ -107,6 +102,64 @@ class TestCovariance:
         assert state1.fingerprint() == state2.fingerprint()
         cold = gaussian.covariance(dec, 0.0)
         assert cold.fingerprint() != state1.fingerprint()
+
+
+class TestStateContract:
+    """A GaussianState is built from G, the temperature and the partition
+    alone, and cannot be changed afterwards."""
+
+    @staticmethod
+    def state():
+        return gaussian.covariance(decompose(thermal_blocks(1.0)), T_HALF)
+
+    @pytest.mark.parametrize("name", ["c", "log_norm", "_fingerprint"])
+    def test_derived_fields_cannot_be_passed(self, name):
+        state = self.state()
+        with pytest.raises(TypeError, match=name):
+            gaussian.GaussianState(
+                g=state.g, temperature=state.temperature, m_a=1, m_ph=0,
+                **{name: getattr(state, name, "")}
+            )
+
+    @pytest.mark.parametrize("name", ["g", "temperature", "m_a", "m_ph", "c", "log_norm"])
+    def test_fields_cannot_be_assigned(self, name):
+        state = self.state()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, getattr(state, name))
+
+    @pytest.mark.parametrize("name", ["g", "c"])
+    def test_arrays_are_read_only(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(self.state(), name)[0, 0] = 0.0
+
+    def test_g_is_a_complex_copy(self):
+        g = np.diag([1.0, 1.0])
+        state = gaussian.GaussianState(g=g, temperature=T_HALF, m_a=1, m_ph=0)
+        g[0, 0] = 2.0
+        assert state.g.dtype == complex
+        assert state.g[0, 0] == 1.0
+
+    def test_mismatched_partition_is_refused(self):
+        """Read as one mode, a two-mode thermal G would give p(1) = 0.0 and
+        a captured mass of 0.547 at cutoff 10 without an error."""
+        blocks = model.CouplingBlocks(
+            eps_a=np.diag([1.0, 2.0]).astype(complex),
+            eps_ph=np.zeros((0, 0)),
+            chi_phph=np.zeros((0, 0)),
+            chi_pha=np.zeros((0, 2)),
+            chit_aa=np.zeros((2, 2)),
+            chit_pha=np.zeros((0, 2)),
+        )
+        g = gaussian.covariance(decompose(blocks), 1.0).g
+        want = "G has shape (4, 4), but the partition m_a = 1, m_ph = 0 needs (2, 2)"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+            gaussian.GaussianState(g=g, temperature=1.0, m_a=1, m_ph=0)
+
+    def test_negative_mode_count_is_refused(self):
+        """m_a = -1, m_ph = 2 matches a one-mode G in total only."""
+        want = "m_a = -1, m_ph = 2: mode counts must be >= 0"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+            gaussian.GaussianState(g=np.eye(2), temperature=1.0, m_a=-1, m_ph=2)
 
 
 class TestBaseMatrix:
@@ -133,12 +186,13 @@ class TestBaseMatrix:
         np.testing.assert_array_equal(c, np.zeros((4, 4)))
         assert log_norm == 0.0
 
-    def test_accepts_state_or_matrix(self):
-        state = gaussian.covariance(decompose(thermal_blocks(1.0)), T_HALF)
-        c_from_state, n_from_state = gaussian.base_matrix(state)
-        c_from_matrix, n_from_matrix = gaussian.base_matrix(state.g)
-        np.testing.assert_array_equal(c_from_state, c_from_matrix)
-        assert n_from_state == n_from_matrix
+    def test_state_derives_its_base_matrix(self, rng):
+        """A state's C and log_norm are base_matrix(G), bit for bit."""
+        _, _, dec = stable_instance(rng, 2, 1)
+        state = gaussian.covariance(dec, 0.4)
+        c, log_norm = gaussian.base_matrix(state.g)
+        assert state.c.tobytes() == c.tobytes()
+        assert state.log_norm == log_norm
 
     def test_symmetric_and_contractive(self, rng):
         """C is symmetric with singular values strictly below 1."""

@@ -1,7 +1,6 @@
 """Outcome probabilities, enumeration, sampling and goodness of fit."""
 
 import collections
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -22,6 +21,7 @@ from hybrid_sampler.hafnian import hafnian_naive
 
 from conftest import (
     direct_config,
+    doctored,
     squeeze_blocks,
     stable_instance,
     thermal_blocks,
@@ -103,19 +103,9 @@ class TestOutcomeProbability:
     def test_imaginary_residual_guard(self):
         """A doctored base matrix with complex entries trips the check."""
         state = make_state(thermal_blocks(1.0), T_HALF)
-        state.c = state.c.astype(complex)
-        state.c[0, 1] = state.c[1, 0] = 0.5j
+        c = np.array([[0.0, 0.5j], [0.5j, 0.0]])
         with pytest.raises(sampling.ImaginaryResidualError, match="imaginary"):
-            sampling.outcome_probability(state, (1,))
-
-    def test_asymmetric_base_matrix_rejected(self):
-        """An asymmetry of 1e-3 is over the limit 1e-8 * max(1, max|C|)."""
-        state = make_state(thermal_blocks(1.0), T_HALF)
-        state.c = state.c.astype(complex)
-        state.c[0, 1] += 1e-3
-        want = "exceeds the limit 1e-08 * max(1, max|C|) = 1.000e-08"
-        with pytest.raises(ValueError, match="not symmetric.*" + re.escape(want)):
-            sampling.outcome_probability(state, (1,))
+            sampling.outcome_probability(doctored(state, c=c), (1,))
 
     def test_budget_refuses_before_allocating(self):
         """(5000 + 1)^2 box entries exceed 2^24; nothing is allocated."""
@@ -157,7 +147,7 @@ class TestEnumerate:
         """Weights scaled up by e^0.01 sum to about 1.0095 at cutoff 10,
         over the 1 + 1e-9 a valid state can reach."""
         state = make_state(thermal_blocks(1.0), T_HALF)
-        shifted = dataclasses.replace(state, log_norm=state.log_norm - 0.01)
+        shifted = doctored(state, log_norm=state.log_norm - 0.01)
         with pytest.raises(
             ValueError, match=r"captured mass 1\.0\d+ exceeds 1 by more than 1\.0e-09"
         ):
@@ -580,6 +570,27 @@ class TestRecommendCutoff:
         state = make_state(thermal_blocks(1.0), 0.0)
         assert sampling.recommend_cutoff(state) == 1
 
+    @staticmethod
+    def thermal_state(m, mean):
+        """M uncoupled thermal modes of one mean: G = mean * I."""
+        return gaussian.GaussianState(g=mean * np.eye(2 * m), temperature=1.0, m_a=m, m_ph=0)
+
+    def test_three_modes_are_capped_at_the_budget(self):
+        """A largest mean of 1.6 asks for cutoff 16, whose 17^6 box entries
+        the engine refuses; 16^6 = 2^24 fits, so the suggestion is 15."""
+        state = self.thermal_state(3, 1.6)
+        assert sampling.CUTOFF_FACTOR * 1.6 == 16.0
+        assert sampling.recommend_cutoff(state) == 15
+
+    @pytest.mark.parametrize("m", range(1, 14))
+    def test_cap_is_the_largest_cutoff_that_fits(self, m):
+        """(c + 1)^(2M) <= MAX_BOX_ENTRIES < (c + 2)^(2M), without enumerating;
+        from 13 modes on only the vacuum fits."""
+        cutoff = sampling.recommend_cutoff(self.thermal_state(m, 1e6))
+        budget = sampling.MAX_BOX_ENTRIES
+        assert (cutoff + 1) ** (2 * m) <= budget < (cutoff + 2) ** (2 * m)
+        assert (cutoff == 0) == (m >= 13)
+
 
 def dict_marginal(dist, kept):
     """Marginal by accumulating into a dict in outcome order, as a reference."""
@@ -623,13 +634,13 @@ class TestDenseStorage:
 
 
 class TestRoundoffFloor:
-    """A base matrix with C_01 = -0.5 gives p(1) = -0.5, far below the floor."""
+    """G = -I/3 gives C_01 = -0.5 and det(1 + G) = 4/9, so p(1) = -0.5 * 1.5
+    = -0.75, far below the floor."""
 
     @staticmethod
     def invalid_state():
-        c = np.array([[0.0, -0.5], [-0.5, 0.0]])
         return gaussian.GaussianState(
-            g=np.zeros((2, 2)), temperature=0.0, c=c, log_norm=0.0, m_a=1, m_ph=0
+            g=-np.eye(2) / 3.0, temperature=0.0, m_a=1, m_ph=0
         )
 
     MESSAGE = r"outcome n=\[1\] q=\[\] has probability .* roundoff floor -1\.0e-12"

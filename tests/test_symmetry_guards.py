@@ -8,12 +8,11 @@ site hands on exactly 0.5 * (X + X^T) (or X^H).
 """
 
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hybrid_sampler import blochmessiah, gaussian, hafnian, model, sampling
+from hybrid_sampler import blochmessiah, gaussian, hafnian, model
 from hybrid_sampler.bdg import BogoliubovDecomposition
 
 
@@ -78,19 +77,6 @@ def _squeeze_kernel(x, monkeypatch):
     return run
 
 
-def _sampled_base_matrix(x, monkeypatch):
-    state = SimpleNamespace(c=x, m=1, m_a=1, m_ph=0)
-    seen = []
-    _capture(monkeypatch, sampling, "_hermite_box", seen)
-
-    def run():
-        with pytest.raises(_Captured):
-            sampling.outcome_probability(state, (1,))
-        return seen[0]
-
-    return run
-
-
 # Every site that checks a matrix symmetry: (id, build, exception type,
 # matrix name, limit, hermitian, how the output is compared).  ``build``
 # takes X and returns a call that runs the site and returns what it hands
@@ -113,7 +99,6 @@ SITES = [
     ("squeeze-kernel", _squeeze_kernel, blochmessiah.ReconstructionError,
      "Y", 2e-9, False, None),
     ("base-matrix", None, ValueError, "C", 1e-8, False, None),
-    ("sampling", _sampled_base_matrix, ValueError, "C", 1e-8, False, None),
     ("haf", lambda x, mp: lambda: hafnian.hafnian_naive(x), ValueError,
      "A", 1e-8, False, hafnian.hafnian_naive),
 ]
