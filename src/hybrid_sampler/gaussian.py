@@ -152,7 +152,8 @@ def base_matrix(g):
 
     P swaps the creation/annihilation half-blocks; the product is
     symmetric for every physical correlator matrix, which is checked
-    within SYMMETRY_LIMIT here and then imposed exactly.
+    within SYMMETRY_LIMIT here and then imposed exactly.  A G with a
+    non-finite entry is refused.
 
     Args:
         g (array): 2M x 2M correlator matrix
@@ -164,6 +165,8 @@ def base_matrix(g):
     two_m = g.shape[0]
     if g.ndim != 2 or g.shape[1] != two_m or two_m % 2:
         raise ValueError("correlator matrix must be square of even size")
+    if not np.isfinite(g).all():
+        raise ValueError("G has non-finite entries: a Gaussian state needs finite correlators")
     m = two_m // 2
     one_plus = np.eye(two_m, dtype=complex) + g
     # N = G (1 + G)^-1 solved as a right division to avoid the explicit
@@ -172,7 +175,8 @@ def base_matrix(g):
     c = symmetrized(np.concatenate([n[m:], n[:m]], axis=0), SYMMETRY_LIMIT, "C")
 
     sign, logabs = np.linalg.slogdet(one_plus)
-    if abs(sign.imag) > _DET_PHASE_LIMIT or sign.real <= 0:
+    # Written so that a NaN phase is refused too.
+    if abs(sign.imag) > _DET_PHASE_LIMIT or not sign.real > 0:
         raise ValueError(
             "det(1 + G) is not real positive: its phase is %.3e%+.3ej, and a "
             "physical Gaussian state needs a real part above 0 and |imag| "

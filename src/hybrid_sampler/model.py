@@ -4,7 +4,9 @@ The package models a driven optical cavity coupled to a trapped
 quasi-condensate.  A :class:`SystemConfig` either describes a 1-D toy
 geometry, from which trap eigenfunctions and drive profiles are sampled
 on a grid and integrated into coupling blocks, or carries the coupling
-blocks directly for synthetic studies.
+blocks directly for synthetic studies.  A config checks itself once, when
+it is built, and is frozen: ``config_from_dict`` only maps a JSON document
+onto the constructors.
 
 Units: hbar = k_B = 1 and the trap frequency sets the energy scale, so
 lengths are in trap oscillator lengths and energies in trap quanta.  The
@@ -16,7 +18,8 @@ Popov shift reads ``2 g_a_n0 (|phi0|^2 + n_ex)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +48,10 @@ _INPUT_SYMMETRY_LIMIT = 1e-6
 # The same for the blocks a CouplingBlocks is built from, and for the
 # largest imaginary part of chit_pha.
 _BLOCK_SYMMETRY_LIMIT = 1e-12
+# Largest grid.points * (m_a + m_ph + 2) of a geometry config: about the
+# number of float64 samples build_mode_basis allocates (the grid, its
+# weights, m_a + 1 trap states, the drive and m_ph cavity profiles).
+MAX_GRID_SAMPLES = 2**24
 
 
 class ConfigError(ValueError):
@@ -55,14 +62,40 @@ class GridResolutionError(RuntimeError):
     """The quadrature grid cannot resolve the requested modes."""
 
 
-@dataclass
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(name, value, *, integer=False):
+    """``value`` as a float (an int if ``integer``), checked to be a finite
+    real number, and integral if ``integer``; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
+        raise ConfigError("%s must be a number, got %r" % (name, value))
+    # Also false for NaN, and for an int no float can hold.
+    if not abs(value) <= _FLOAT_MAX:
+        raise ConfigError("%s must be finite, got %r" % (name, value))
+    if integer and int(value) != value:
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    return int(value) if integer else float(value)
+
+
+def _refuse_unknown_keys(data, cls, where):
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError("unknown key(s) in %s: %s" % (where, ", ".join(sorted(unknown))))
+
+
+@dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [-half_length, half_length] with trapezoid weights."""
+    """Uniform grid on [-half_length, half_length] with trapezoid weights,
+    checked when built (finite half_length > 0, integer points >= 16)."""
 
     half_length: float = 8.0
     points: int = 16384
 
-    def validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "half_length", _number("grid.half_length", self.half_length))
+        object.__setattr__(self, "points", _number("grid.points", self.points, integer=True))
         if not self.half_length > 0:
             raise ConfigError("grid.half_length must be positive, got %r" % self.half_length)
         if self.points < 16:
@@ -176,12 +209,7 @@ class CouplingBlocks:
     @classmethod
     def from_dict(cls, data, m_a, m_ph):
         """Build blocks from a ``direct_blocks`` JSON object."""
-        known = {"eps_a", "eps_ph", "chi_phph", "chi_pha", "chit_aa", "chit_pha"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                "unknown key(s) in direct_blocks: %s" % ", ".join(sorted(unknown))
-            )
+        _refuse_unknown_keys(data, cls, "direct_blocks")
 
         def block(name, shape, hermitian=None):
             if name not in data:
@@ -213,13 +241,38 @@ class CouplingBlocks:
         )
 
 
-@dataclass
+def _partition(m_a, m_ph):
+    """(m_a, m_ph) checked to be nonnegative integers."""
+    m_a, m_ph = _number("m_a", m_a, integer=True), _number("m_ph", m_ph, integer=True)
+    if m_a < 0 or m_ph < 0:
+        raise ConfigError("m_a and m_ph must be nonnegative")
+    return m_a, m_ph
+
+
+def _vector(name, value, length):
+    """A read-only float vector of ``length`` finite entries (zeros if None)."""
+    if value is None:
+        vec = np.zeros(length)
+    elif not isinstance(value, (list, tuple, np.ndarray)):
+        raise ConfigError("%s must be a list of numbers, got %r" % (name, value))
+    elif len(value) != length:
+        raise ConfigError("%s has length %d, expected m_ph = %d" % (name, len(value), length))
+    else:
+        vec = np.array([_number("%s[%d]" % (name, i), v) for i, v in enumerate(value)])
+    vec.flags.writeable = False
+    return vec
+
+
+@dataclass(frozen=True)
 class SystemConfig:
-    """Validated description of one cavity/condensate instance.
+    """Checked description of one cavity/condensate instance.
 
     In ``geometry_1d`` mode the trap, drive and cavity-mode profiles
     define the coupling blocks; in ``direct_blocks`` mode the blocks are
-    given verbatim and the geometry fields are ignored.
+    given verbatim and the geometry fields are ignored.  Construction
+    checks every field once (finite numbers, temperature and n_ex >= 0,
+    delta_a nonzero of either sign, read-only vectors of length m_ph, the
+    grid budget, blocks of the declared partition); the instance is frozen.
     """
 
     mode: str
@@ -237,60 +290,63 @@ class SystemConfig:
     kappa_nu: float = 0.0
     omega_r: float = 0.0
     n_atoms: float = 0.0
-    grid: GridSpec = field(default_factory=GridSpec)
+    grid: GridSpec = GridSpec()
     direct_blocks: CouplingBlocks = None
 
     def __post_init__(self):
-        for name in ("delta_nu", "omega_nu", "rabi_mode_amp"):
-            value = getattr(self, name)
-            if value is None:
-                value = np.zeros(self.m_ph if isinstance(self.m_ph, int) else 0)
-            setattr(self, name, np.asarray(value, dtype=float))
+        if self.mode not in (MODE_GEOMETRY, MODE_DIRECT):
+            raise ConfigError(
+                "mode must be %r or %r, got %r" % (MODE_GEOMETRY, MODE_DIRECT, self.mode)
+            )
+        m_a, m_ph = _partition(self.m_a, self.m_ph)
+        if m_a + m_ph < 1:
+            raise ConfigError("at least one mode is required (m_a + m_ph >= 1)")
+        # Field annotations are strings here (postponed evaluation).
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "float"):
+                value = _number(f.name, value, integer=f.type == "int")
+            elif f.type == "np.ndarray":
+                value = _vector(f.name, value, m_ph)
+            object.__setattr__(self, f.name, value)
+        for name in ("temperature", "n_ex"):
+            if getattr(self, name) < 0:
+                raise ConfigError("%s must be nonnegative, got %r" % (name, getattr(self, name)))
+        if self.delta_a == 0:
+            raise ConfigError("delta_a must be nonzero")
+        blocks = self.direct_blocks
+        if self.mode == MODE_GEOMETRY:
+            if blocks is not None:
+                raise ConfigError("direct_blocks is only valid when mode = %r" % MODE_DIRECT)
+            samples = self.grid.points * (m_a + m_ph + 2)
+            if samples > MAX_GRID_SAMPLES:
+                raise ConfigError(
+                    "grid.points * (m_a + m_ph + 2) = %d grid samples exceeds the "
+                    "limit MAX_GRID_SAMPLES = %d" % (samples, MAX_GRID_SAMPLES)
+                )
+        elif blocks is None:
+            raise ConfigError("direct_blocks is required when mode = %r" % MODE_DIRECT)
+        elif (blocks.m_a, blocks.m_ph) != (m_a, m_ph):
+            raise ConfigError(
+                "direct_blocks have m_a = %d, m_ph = %d, but the config declares "
+                "m_a = %d, m_ph = %d" % (blocks.m_a, blocks.m_ph, m_a, m_ph)
+            )
 
     @property
     def m(self):
         return self.m_a + self.m_ph
 
-    def validate(self):
-        if self.mode not in (MODE_GEOMETRY, MODE_DIRECT):
-            raise ConfigError(
-                "mode must be %r or %r, got %r" % (MODE_GEOMETRY, MODE_DIRECT, self.mode)
-            )
-        if self.m_a < 0 or self.m_ph < 0:
-            raise ConfigError("m_a and m_ph must be nonnegative")
-        if self.m < 1:
-            raise ConfigError("at least one mode is required (m_a + m_ph >= 1)")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be nonnegative, got %r" % self.temperature)
-        if self.n_ex < 0:
-            raise ConfigError("n_ex must be nonnegative, got %r" % self.n_ex)
-        if not abs(self.delta_a) > 0:
-            raise ConfigError("delta_a must be nonzero")
-        for name in ("delta_nu", "omega_nu", "rabi_mode_amp"):
-            if len(getattr(self, name)) != self.m_ph:
-                raise ConfigError(
-                    "%s has length %d, expected m_ph = %d"
-                    % (name, len(getattr(self, name)), self.m_ph)
-                )
-        self.grid.validate()
-        if self.mode == MODE_DIRECT:
-            if self.direct_blocks is None:
-                raise ConfigError("direct_blocks is required when mode = %r" % MODE_DIRECT)
-        elif self.direct_blocks is not None:
-            raise ConfigError("direct_blocks is only valid when mode = %r" % MODE_DIRECT)
-
 
 def decode_scalar(value, where):
-    """Decode a JSON number or [re, im] pair into a complex scalar."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError("%s: expected a number or an [re, im] pair, got %r" % (where, value))
+    """Decode a JSON number or [re, im] pair into a finite complex scalar."""
+    try:
+        if isinstance(value, list) and len(value) == 2:
+            return complex(_number(where, value[0]), _number(where, value[1]))
+        return complex(_number(where, value))
+    except ConfigError:
+        raise ConfigError(
+            "%s: expected a finite number or an [re, im] pair of them, got %r" % (where, value)
+        ) from None
 
 
 def decode_matrix(rows, where):
@@ -319,81 +375,31 @@ def encode_matrix(mat):
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
-_SCALAR_FIELDS = {
-    "m_a": int,
-    "m_ph": int,
-    "temperature": float,
-    "g_a_n0": float,
-    "delta_a": float,
-    "rabi_drive_amp": float,
-    "mu": float,
-    "n_ex": float,
-    "kappa_nu": float,
-    "omega_r": float,
-    "n_atoms": float,
-}
-_VECTOR_FIELDS = ("delta_nu", "omega_nu", "rabi_mode_amp")
-
-
 def config_from_dict(data):
-    """Build a validated :class:`SystemConfig` from a parsed JSON object."""
+    """Build a :class:`SystemConfig` from a parsed JSON object.  Only the
+    document's shape is checked here; the constructors check every value."""
     if not isinstance(data, dict):
         raise ConfigError("config document must be a single JSON object")
-    known = {"mode", "grid", "direct_blocks", *_SCALAR_FIELDS, *_VECTOR_FIELDS}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError("unknown key(s) in config: %s" % ", ".join(sorted(unknown)))
+    _refuse_unknown_keys(data, SystemConfig, "config")
     for required in ("mode", "m_a", "m_ph", "temperature"):
         if required not in data:
             raise ConfigError("missing required key %r" % required)
-
-    kwargs = {"mode": data["mode"]}
-    if not isinstance(kwargs["mode"], str):
-        raise ConfigError("mode must be a string")
-    for name, cast in _SCALAR_FIELDS.items():
-        if name in data:
-            value = data[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError("%s must be a number, got %r" % (name, value))
-            if cast is int and int(value) != value:
-                raise ConfigError("%s must be an integer, got %r" % (name, value))
-            kwargs[name] = cast(value)
-    for name in _VECTOR_FIELDS:
-        if name in data:
-            value = data[name]
-            if not isinstance(value, list) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-            ):
-                raise ConfigError("%s must be a list of numbers" % name)
-            kwargs[name] = np.asarray(value, dtype=float)
-
+    for key in ("grid", "direct_blocks"):
+        if key in data and not isinstance(data[key], dict):
+            raise ConfigError("%s must be an object" % key)
+    kwargs = dict(data)
     if "grid" in data:
-        gd = data["grid"]
-        if not isinstance(gd, dict):
-            raise ConfigError("grid must be an object")
-        unknown = set(gd) - {"half_length", "points"}
-        if unknown:
-            raise ConfigError("unknown key(s) in grid: %s" % ", ".join(sorted(unknown)))
-        grid = GridSpec(
-            half_length=float(gd.get("half_length", GridSpec.half_length)),
-            points=int(gd.get("points", GridSpec.points)),
-        )
-        kwargs["grid"] = grid
-
+        _refuse_unknown_keys(data["grid"], GridSpec, "grid")
+        kwargs["grid"] = GridSpec(**data["grid"])
     if "direct_blocks" in data:
-        if not isinstance(data["direct_blocks"], dict):
-            raise ConfigError("direct_blocks must be an object")
         kwargs["direct_blocks"] = CouplingBlocks.from_dict(
-            data["direct_blocks"], int(data.get("m_a", 0)), int(data.get("m_ph", 0))
+            data["direct_blocks"], *_partition(data["m_a"], data["m_ph"])
         )
-
-    cfg = SystemConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return SystemConfig(**kwargs)
 
 
 def load_config(text):
-    """Parse a JSON config document into a validated :class:`SystemConfig`.
+    """Parse a JSON config document into a checked :class:`SystemConfig`.
 
     Args:
         text (str | bytes): the raw document

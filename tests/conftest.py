@@ -54,8 +54,8 @@ def stable_instance(rng, m_a, m_ph, strength=0.2):
 
 
 def direct_config(blocks, temperature, **extra):
-    """Wrap coupling blocks into a validated direct-blocks config."""
-    cfg = model.SystemConfig(
+    """Wrap coupling blocks into a direct-blocks config."""
+    return model.SystemConfig(
         mode=model.MODE_DIRECT,
         m_a=blocks.m_a,
         m_ph=blocks.m_ph,
@@ -63,8 +63,6 @@ def direct_config(blocks, temperature, **extra):
         direct_blocks=blocks,
         **extra,
     )
-    cfg.validate()
-    return cfg
 
 
 def squeeze_blocks(e, t):

@@ -646,6 +646,44 @@ class TestUsageAndExitCodes:
             "limit 1e-12 * max(1, max|chit_pha|) = 1.000e-12"
         ) in captured.err
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({**THERMAL, "m_a": -1}, "m_a"),
+            ({**GEOMETRY, "grid": {"points": "abc"}}, "grid.points"),
+            ({**GEOMETRY, "grid": {"points": 20.7}}, "grid.points"),
+            ({**GEOMETRY, "grid": {"half_length": "x"}}, "grid.half_length"),
+            ({**THERMAL, "temperature": math.nan}, "temperature"),
+            ({**THERMAL, "temperature": math.inf}, "temperature"),
+            ({**THERMAL, "direct_blocks": {"eps_a": [[math.nan]]}}, "direct_blocks.eps_a[0][0]"),
+            ({**THERMAL, "direct_blocks": {"eps_a": [[math.inf]]}}, "direct_blocks.eps_a[0][0]"),
+        ],
+    )
+    def test_malformed_number_is_a_usage_error(self, tmp_path, capsys, doc, field):
+        config = write_config(tmp_path, doc)
+        assert main(["pdf", "--config", config, "--cutoff", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s" % field)
+
+    def test_non_finite_matrix_entry_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps([[0.0, math.nan], [math.nan, 0.0]]))
+        assert main(["haf", "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix[0][1]: expected a finite number")
+
+    def test_overflowing_temperature_fails(self, tmp_path, capsys):
+        """Finite, so the config is accepted, but coth(E / 2T) overflows:
+        the state is refused instead of printing NaN probabilities."""
+        config = write_config(tmp_path, {**THERMAL, "temperature": 1e308})
+        with np.errstate(all="ignore"):
+            assert main(["pdf", "--config", config, "--cutoff", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: G has non-finite entries" in captured.err
+
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "0.1.0"

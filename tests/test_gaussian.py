@@ -228,6 +228,21 @@ class TestBaseMatrix:
         with pytest.raises(ValueError, match=re.escape(want)):
             gaussian.base_matrix(g)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_correlator_rejected(self, entry):
+        """A NaN would pass the symmetry and phase checks unseen."""
+        g = np.zeros((2, 2), dtype=complex)
+        g[0, 0] = entry
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^G has non-finite"):
+            gaussian.base_matrix(g)
+
+    def test_overflowing_temperature_is_refused(self):
+        """At T = 1e308, 2T overflows and coth(E / 2T) is infinite: the state
+        is refused instead of carrying NaN probabilities."""
+        dec = bdg.bogoliubov_diagonalize(bdg.assemble_hamiltonian(thermal_blocks()))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^G has non-finite"):
+            gaussian.covariance(dec, 1e308)
+
     def test_determinant_phase_message_names_its_limit(self):
         """G = [[0, x], [x, 0]] with x^2 = -2e-8 i keeps C symmetric, but
         det(1 + G) = 1 + 2e-8 i has a phase 2e-8 off the real axis."""

@@ -4,11 +4,14 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hybrid_sampler import model
+
+from conftest import thermal_blocks
 
 np.random.seed(7)
 
@@ -115,6 +118,154 @@ class TestConfigSchema:
         cfg = model.load_config(json.dumps(geometry_dict()))
         assert cfg.m_a == 2
         assert cfg.grid.points == 16384
+
+
+class TestNumbers:
+    """One check reads every number of a config or matrix document."""
+
+    @pytest.mark.parametrize(
+        "over, name",
+        [
+            ({"temperature": math.nan}, "temperature"),
+            ({"temperature": math.inf}, "temperature"),
+            ({"mu": -math.inf}, "mu"),
+            ({"delta_nu": [math.nan]}, r"delta_nu\[0\]"),
+            ({"grid": {"half_length": math.inf}}, "grid.half_length"),
+            ({"m_ph": 10**400}, "m_ph"),
+        ],
+    )
+    def test_non_finite_refused(self, over, name):
+        with pytest.raises(model.ConfigError, match="^%s must be finite, got " % name):
+            geometry_config(**over)
+
+    @pytest.mark.parametrize(
+        "grid, want",
+        [
+            ({"points": "abc"}, "grid.points must be a number, got 'abc'"),
+            ({"points": 20.7}, "grid.points must be an integer, got 20.7"),
+            ({"points": True}, "grid.points must be a number, got True"),
+            ({"half_length": "x"}, "grid.half_length must be a number, got 'x'"),
+            ({"half_length": -1}, "grid.half_length must be positive, got -1.0"),
+        ],
+    )
+    def test_grid_numbers(self, grid, want):
+        with pytest.raises(model.ConfigError, match="^%s$" % re.escape(want)):
+            geometry_config(grid=grid)
+
+    def test_integral_numbers_become_ints(self):
+        cfg = geometry_config(m_a=2.0, temperature=0, grid={"points": 64.0})
+        assert type(cfg.m_a) is int and type(cfg.grid.points) is int
+        assert type(cfg.temperature) is float
+
+    def test_vector_entries_are_numbers(self):
+        with pytest.raises(model.ConfigError, match=r"^rabi_mode_amp\[0\] must be a number"):
+            geometry_config(rabi_mode_amp=["0.9"])
+        with pytest.raises(model.ConfigError, match="^omega_nu must be a list of numbers"):
+            geometry_config(omega_nu=1.3)
+
+    def test_negative_direct_mode_count(self):
+        """Refused before zero blocks of that size are made."""
+        with pytest.raises(model.ConfigError, match="^m_a and m_ph must be nonnegative$"):
+            model.config_from_dict(
+                {
+                    "mode": "direct_blocks",
+                    "m_a": -1,
+                    "m_ph": 1,
+                    "temperature": 0.0,
+                    "direct_blocks": {"eps_ph": [[1.0]]},
+                }
+            )
+
+    @pytest.mark.parametrize("entry", [math.nan, -math.inf, [1.0, math.nan], True, "1"])
+    def test_matrix_entries_are_finite_numbers(self, entry):
+        want = "x: expected a finite number or an [re, im] pair of them, got "
+        with pytest.raises(model.ConfigError, match="^%s" % re.escape(want)):
+            model.decode_scalar(entry, "x")
+
+
+class TestConfigContract:
+    """A SystemConfig and its GridSpec check themselves when built."""
+
+    def test_fields_are_frozen(self):
+        cfg = geometry_config()
+        for obj in (cfg, cfg.grid):
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+
+    def test_vectors_are_read_only_copies(self):
+        given = np.array([8.0])
+        cfg = geometry_config(delta_nu=given)
+        given[0] = 9.0
+        assert cfg.delta_nu[0] == 8.0
+        for name in ("delta_nu", "omega_nu", "rabi_mode_amp"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cfg, name)[0] = 2.0
+
+    def test_omitted_vectors_are_zeros(self):
+        cfg = model.SystemConfig(mode=model.MODE_GEOMETRY, m_a=1, m_ph=2, temperature=0.0)
+        for name in ("delta_nu", "omega_nu", "rabi_mode_amp"):
+            vec = getattr(cfg, name)
+            assert vec.dtype == float and vec.tolist() == [0.0, 0.0]
+            assert not vec.flags.writeable
+
+    def test_hand_built_config_is_checked(self):
+        with pytest.raises(model.ConfigError, match="^temperature must be nonnegative"):
+            model.SystemConfig(mode=model.MODE_GEOMETRY, m_a=1, m_ph=0, temperature=-1.0)
+
+    def test_partition_mismatch_refused(self):
+        want = (
+            "direct_blocks have m_a = 1, m_ph = 0, but the config declares "
+            "m_a = 2, m_ph = 0"
+        )
+        with pytest.raises(model.ConfigError, match="^%s$" % re.escape(want)):
+            model.SystemConfig(
+                mode=model.MODE_DIRECT,
+                m_a=2,
+                m_ph=0,
+                temperature=0.0,
+                direct_blocks=thermal_blocks(),
+            )
+
+    def test_there_is_no_validate(self):
+        assert not hasattr(model.SystemConfig, "validate")
+        assert not hasattr(model.GridSpec, "validate")
+
+
+class TestGridBudget:
+    """grid.points * (m_a + m_ph + 2) is checked before any grid exists."""
+
+    def test_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(model.ConfigError) as info:
+                model.config_from_dict(geometry_dict(grid={"points": 10**9}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert str(info.value) == (
+            "grid.points * (m_a + m_ph + 2) = 5000000000 grid samples exceeds "
+            "the limit MAX_GRID_SAMPLES = 16777216"
+        )
+
+    def test_limit_is_inclusive(self):
+        """Only the configs are built: no grid of this size is sampled."""
+        points = model.MAX_GRID_SAMPLES // (2 + 1 + 2)
+        assert geometry_config(grid={"points": points}).grid.points == points
+        with pytest.raises(model.ConfigError, match="MAX_GRID_SAMPLES"):
+            geometry_config(grid={"points": points + 1})
+
+    def test_direct_mode_ignores_the_grid(self):
+        cfg = model.SystemConfig(
+            mode=model.MODE_DIRECT,
+            m_a=1,
+            m_ph=0,
+            temperature=0.0,
+            grid=model.GridSpec(points=10**9),
+            direct_blocks=thermal_blocks(),
+        )
+        assert cfg.grid.points == 10**9
 
 
 class TestDirectBlocks:
