@@ -33,6 +33,9 @@ __all__ = [
 SYMMETRY_LIMIT = 1e-8
 # Largest imaginary part of the phase of det(1 + G) accepted.
 _DET_PHASE_LIMIT = 1e-8
+# E / 2T must exceed this: coth(x) = 1 / tanh(x) = 1 / x for so small an
+# x, and 1 / x overflows for x <= 2^-1024.
+_COTH_ARGUMENT_LIMIT = 2.0**-1024
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,11 @@ def covariance(dec, temperature):
 
     Returns:
         GaussianState
+
+    Raises:
+        ValueError: for a negative temperature, or one so high that
+            coth(E / 2T) overflows at the smallest energy E (the message
+            names T, E and the limit).
     """
     if temperature < 0:
         raise ValueError("temperature must be nonnegative")
@@ -136,7 +144,18 @@ def covariance(dec, temperature):
     if temperature == 0:
         q = np.ones(m)
     else:
-        q = 1.0 / np.tanh(energies / (2.0 * temperature))
+        e_min = float(energies.min(initial=np.inf))
+        if not 0.5 * e_min / temperature > _COTH_ARGUMENT_LIMIT:
+            raise ValueError(
+                "temperature %r is too high for the smallest quasiparticle energy "
+                "E = %r: coth(E / 2T) is finite only while E / 2T exceeds the "
+                "limit 2^-1024 = %.3e, that is T < %.6e"
+                % (float(temperature), e_min, _COTH_ARGUMENT_LIMIT, e_min * 2.0**1023)
+            )
+        # Halving E instead of doubling T keeps E / 2T finite for every
+        # finite T; a tiny T overflows it to inf, where coth is exactly 1.
+        with np.errstate(over="ignore"):
+            q = 1.0 / np.tanh(0.5 * energies / temperature)
     r_inv = dec.r_inverse
     qq = np.concatenate([q, q])
     g = 0.5 * (r_inv * qq[None, :]) @ r_inv.conj().T

@@ -4,9 +4,10 @@ The package models a driven optical cavity coupled to a trapped
 quasi-condensate.  A :class:`SystemConfig` either describes a 1-D toy
 geometry, from which trap eigenfunctions and drive profiles are sampled
 on a grid and integrated into coupling blocks, or carries the coupling
-blocks directly for synthetic studies.  A config checks itself once, when
-it is built, and is frozen: ``config_from_dict`` only maps a JSON document
-onto the constructors.
+blocks directly for synthetic studies.  What depends on the grid alone is
+sampled once per process, for the last grid used.  A config checks itself
+once, when it is built, and is frozen: ``config_from_dict`` only maps a
+JSON document onto the constructors.
 
 Units: hbar = k_B = 1 and the trap frequency sets the energy scale, so
 lengths are in trap oscillator lengths and energies in trap quanta.  The
@@ -17,9 +18,10 @@ Popov shift reads ``2 g_a_n0 (|phi0|^2 + n_ex)``.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,6 +54,10 @@ _BLOCK_SYMMETRY_LIMIT = 1e-12
 # number of float64 samples build_mode_basis allocates (the grid, its
 # weights, m_a + 1 trap states, the drive and m_ph cavity profiles).
 MAX_GRID_SAMPLES = 2**24
+# Largest m_a + m_ph of a config.  The stages after the blocks build 2M x
+# 2M matrices and factor them: `build` at M = 256 takes about 2.5 s and
+# 0.2 GB, at M = 1024 about 50 s and 2.7 GB.
+MAX_MODES = 256
 
 
 class ConfigError(ValueError):
@@ -201,6 +207,7 @@ class CouplingBlocks:
                     "limit %.0e * max(1, max|chit_pha|) = %.3e"
                     % (imag, limit, limit * scale)
                 )
+        exact["chi_pha"] = np.array(self.chi_pha, dtype=complex)
         exact["chit_pha"] = self.chit_pha.real.astype(complex)
         for name, value in exact.items():
             value.flags.writeable = False
@@ -242,10 +249,15 @@ class CouplingBlocks:
 
 
 def _partition(m_a, m_ph):
-    """(m_a, m_ph) checked to be nonnegative integers."""
+    """(m_a, m_ph) checked to be nonnegative integers with m_a + m_ph at
+    most MAX_MODES, before any block of that size exists."""
     m_a, m_ph = _number("m_a", m_a, integer=True), _number("m_ph", m_ph, integer=True)
     if m_a < 0 or m_ph < 0:
         raise ConfigError("m_a and m_ph must be nonnegative")
+    if m_a + m_ph > MAX_MODES:
+        raise ConfigError(
+            "m_a + m_ph = %d modes exceeds the limit MAX_MODES = %d" % (m_a + m_ph, MAX_MODES)
+        )
     return m_a, m_ph
 
 
@@ -424,7 +436,9 @@ class ModeBasis:
     ``phi0`` is the condensate orbital (trap ground state), ``phi_l`` the
     first ``m_a`` excited trap eigenfunctions, ``omega0_profile`` the
     classical drive and ``omega_nu_profiles`` the cavity standing waves.
-    ``weights`` are trapezoid quadrature weights on ``x``.
+    ``weights`` are trapezoid quadrature weights on ``x``.  ``x``,
+    ``weights``, ``phi0`` and ``phi_l`` are read-only arrays shared by every
+    basis on the same grid; the two profiles belong to this basis.
     """
 
     x: np.ndarray
@@ -433,14 +447,14 @@ class ModeBasis:
     phi_l: np.ndarray
     omega0_profile: np.ndarray
     omega_nu_profiles: np.ndarray
+    _residual: float = field(repr=False)
 
     def integrate(self, values):
         return np.dot(self.weights, values)
 
     def orthonormality_residual(self):
-        funcs = np.vstack([self.phi0[None, :], self.phi_l])
-        gram = (funcs * self.weights) @ funcs.T
-        return float(np.max(np.abs(gram - np.eye(funcs.shape[0]))))
+        """max|Gram - 1| of phi0 and phi_l under the quadrature weights."""
+        return self._residual
 
 
 def _hermite_functions(x, count):
@@ -455,8 +469,78 @@ def _hermite_functions(x, count):
     return funcs
 
 
+def _read_only(arr):
+    """A read-only view of ``arr``.  A view cannot be made writeable again
+    while the array owning its data is read-only, so a view (linspace
+    returns one) is copied first to an owner that nothing else holds."""
+    if arr.base is not None:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr.view()
+
+
+class _Grid:
+    """The read-only arrays of one GridSpec that no other config field
+    changes: the grid, its weights and the drive envelope; the normalized
+    trap functions and the standing waves, grown to the largest count asked
+    for so far; and the orthonormality residual per count.  Each trap row
+    and norm depends only on earlier rows, and each residual is the Gram of
+    exactly the rows asked for, so no value depends on the order of calls.
+    """
+
+    def __init__(self, spec):
+        self.half_length = spec.half_length
+        x = np.linspace(-spec.half_length, spec.half_length, spec.points)
+        weights = np.full(spec.points, x[1] - x[0])
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        self.x, self.weights = _read_only(x), _read_only(weights)
+        self.envelope = _read_only(np.exp(-0.5 * x * x))
+        self._trap = self._waves = _read_only(np.empty((0, spec.points)))
+        self._residuals = {}
+
+    def trap(self, count):
+        """The first ``count`` trap eigenfunctions, normalized on the grid."""
+        # Sliced from a local reference, so that a concurrent call that
+        # stores fewer rows cannot shorten the result.
+        trap = self._trap
+        if count > len(trap):
+            funcs = _hermite_functions(self.x, count)
+            norms = np.sqrt((funcs * funcs * self.weights).sum(axis=1))
+            if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
+                raise GridResolutionError("grid cannot normalize the trap eigenfunctions")
+            trap = self._trap = _read_only(funcs / norms[:, None])
+        return trap[:count]
+
+    def standing_waves(self, count):
+        """The first ``count`` cavity standing waves: mode nu = i + 1 carries
+        cos((nu + 1) pi x / L), so the first is cos(2 pi x / L)."""
+        waves = self._waves
+        if count > len(waves):
+            x, length = self.x, self.half_length
+            rows = [np.cos((i + 2) * np.pi * x / length) for i in range(count)]
+            waves = self._waves = _read_only(np.array(rows))
+        return waves[:count]
+
+    def residual(self, count):
+        """Orthonormality residual of the first ``count`` trap functions."""
+        if count not in self._residuals:
+            funcs = self.trap(count)
+            gram = (funcs * self.weights) @ funcs.T
+            self._residuals[count] = float(np.max(np.abs(gram - np.eye(count))))
+        return self._residuals[count]
+
+
+# One geometry is usually swept over many parameter points, so only the
+# last grid is kept: a second one would double the resident arrays.
+_grid = functools.lru_cache(maxsize=1)(_Grid)
+
+
 def build_mode_basis(cfg):
     """Sample trap eigenfunctions and drive profiles on the config grid.
+
+    The grid-only arrays come from the process's cached grid; only the
+    drive and cavity profiles are scaled by the config's amplitudes.
 
     Args:
         cfg (SystemConfig): a ``geometry_1d`` configuration
@@ -470,41 +554,24 @@ def build_mode_basis(cfg):
     """
     if cfg.mode != MODE_GEOMETRY:
         raise ConfigError("build_mode_basis requires mode = %r" % MODE_GEOMETRY)
-    length = cfg.grid.half_length
-    npts = cfg.grid.points
-    x = np.linspace(-length, length, npts)
-    weights = np.full(npts, x[1] - x[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-
-    funcs = _hermite_functions(x, cfg.m_a + 1)
-    norms = np.sqrt((funcs * funcs * weights).sum(axis=1))
-    if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
-        raise GridResolutionError("grid cannot normalize the trap eigenfunctions")
-    funcs = funcs / norms[:, None]
-
-    basis = ModeBasis(
-        x=x,
-        weights=weights,
-        phi0=funcs[0],
-        phi_l=funcs[1:],
-        omega0_profile=cfg.rabi_drive_amp * np.exp(-0.5 * x * x),
-        omega_nu_profiles=np.array(
-            [
-                # Cavity mode nu = i + 1 carries the standing wave
-                # cos((nu + 1) pi x / L), so the first mode is cos(2 pi x / L).
-                cfg.rabi_mode_amp[i] * np.cos((i + 2) * np.pi * x / length)
-                for i in range(cfg.m_ph)
-            ]
-        ).reshape(cfg.m_ph, npts),
-    )
-    residual = basis.orthonormality_residual()
+    grid = _grid(cfg.grid)
+    count = cfg.m_a + 1
+    funcs = grid.trap(count)
+    residual = grid.residual(count)
     if residual > 1e-6:
         raise GridResolutionError(
             "mode basis orthonormality residual %.3e exceeds 1e-6; "
             "increase grid.points or reduce grid.half_length" % residual
         )
-    return basis
+    return ModeBasis(
+        x=grid.x,
+        weights=grid.weights,
+        phi0=funcs[0],
+        phi_l=funcs[1:],
+        omega0_profile=cfg.rabi_drive_amp * grid.envelope,
+        omega_nu_profiles=cfg.rabi_mode_amp[:, None] * grid.standing_waves(cfg.m_ph),
+        _residual=residual,
+    )
 
 
 def compute_coupling_blocks(basis, cfg):
@@ -514,7 +581,9 @@ def compute_coupling_blocks(basis, cfg):
     drive-induced optical potential, minus the chemical potential, plus
     the Popov mean-field shift.  The basis functions are the trap's own
     eigenfunctions, so the trap part is exactly diag(l + 1/2); only the
-    remaining potential terms are integrated.  All paired blocks are
+    remaining potential terms are integrated.  Every sampled function is
+    real, so no conjugate is taken and the co- and counter-rotating
+    photon-atom couplings are one integral.  All paired blocks are
     explicitly symmetrized before use.
     """
     w = basis.weights
@@ -524,15 +593,14 @@ def compute_coupling_blocks(basis, cfg):
     omnu = basis.omega_nu_profiles
     inv_da = 1.0 / cfg.delta_a
 
-    dens0 = np.abs(phi0) ** 2
-    chit_aa = cfg.g_a_n0 * (phi * w) @ (phi * phi0**2).T
-    chi_phph = inv_da * (omnu.conj() * (w * dens0)) @ omnu.T
-    chi_pha = inv_da * (omnu.conj() * (w * om0 * phi0.conj())) @ phi.T
-    chit_pha = inv_da * (omnu.conj() * (w * om0 * phi0)) @ phi.conj().T
+    dens0 = phi0**2
+    chit_aa = cfg.g_a_n0 * (phi * w) @ (phi * dens0).T
+    chi_phph = inv_da * (omnu * (w * dens0)) @ omnu.T
+    chi_pha = inv_da * (omnu * (w * om0 * phi0)) @ phi.T
 
-    potential = np.abs(om0) ** 2 * inv_da - cfg.mu + 2.0 * cfg.g_a_n0 * (dens0 + cfg.n_ex)
+    potential = om0**2 * inv_da - cfg.mu + 2.0 * cfg.g_a_n0 * (dens0 + cfg.n_ex)
     trap = np.diag(np.arange(1, cfg.m_a + 1) + 0.5)
-    eps_a = trap + (phi.conj() * (w * potential)) @ phi.T
+    eps_a = trap + (phi * (w * potential)) @ phi.T
 
     limit = _INPUT_SYMMETRY_LIMIT
     return CouplingBlocks(
@@ -541,7 +609,7 @@ def compute_coupling_blocks(basis, cfg):
         chi_phph=symmetrized(chi_phph, limit, "chi_phph", hermitian=True, error=ConfigError),
         chi_pha=np.asarray(chi_pha, dtype=complex),
         chit_aa=symmetrized(chit_aa, limit, "chit_aa", error=ConfigError),
-        chit_pha=np.asarray(chit_pha, dtype=complex),
+        chit_pha=np.asarray(chi_pha, dtype=complex),
     )
 
 

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,12 @@ from hybrid_sampler.cli import _format_complex, main
 from conftest import doctored
 
 T_HALF = 1.0 / math.log(2.0)
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+OVERFLOWING_TEMPERATURE = (
+    "error: temperature 1e+308 is too high for the smallest quasiparticle energy "
+    "E = 1.0: coth(E / 2T) is finite only while E / 2T exceeds the limit "
+    "2^-1024 = 5.563e-309, that is T < 8.988466e+307"
+)
 THERMAL_FILE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "configs", "thermal_one_mode.json"
 )
@@ -676,13 +684,35 @@ class TestUsageAndExitCodes:
 
     def test_overflowing_temperature_fails(self, tmp_path, capsys):
         """Finite, so the config is accepted, but coth(E / 2T) overflows:
-        the state is refused instead of printing NaN probabilities."""
+        the temperature is refused before the state is built."""
         config = write_config(tmp_path, {**THERMAL, "temperature": 1e308})
-        with np.errstate(all="ignore"):
-            assert main(["pdf", "--config", config, "--cutoff", "2"]) == 1
+        assert main(["pdf", "--config", config, "--cutoff", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: G has non-finite entries" in captured.err
+        assert captured.err == OVERFLOWING_TEMPERATURE + "\n"
+
+    def test_overflowing_temperature_fails_without_a_warning(self, tmp_path):
+        """Under -W error a numpy RuntimeWarning would end in a traceback."""
+        config = write_config(tmp_path, {**THERMAL, "temperature": 1e308})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hybrid_sampler.cli",
+             "pdf", "--config", config, "--cutoff", "2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == OVERFLOWING_TEMPERATURE + "\n"
+
+    def test_mode_budget_is_a_usage_error(self, tmp_path, capsys):
+        doc = {"mode": "direct_blocks", "m_a": model.MAX_MODES, "m_ph": 1,
+               "temperature": 0.0, "direct_blocks": {}}
+        assert main(["build", "--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: m_a + m_ph = 257 modes exceeds the limit MAX_MODES = 256\n"
+        )
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0

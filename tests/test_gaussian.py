@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -237,11 +238,41 @@ class TestBaseMatrix:
             gaussian.base_matrix(g)
 
     def test_overflowing_temperature_is_refused(self):
-        """At T = 1e308, 2T overflows and coth(E / 2T) is infinite: the state
-        is refused instead of carrying NaN probabilities."""
+        """At T = 1e308 coth(E / 2T) overflows for E = 1: the temperature is
+        refused, naming T, E and the limit, before numpy warns."""
         dec = bdg.bogoliubov_diagonalize(bdg.assemble_hamiltonian(thermal_blocks()))
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^G has non-finite"):
-            gaussian.covariance(dec, 1e308)
+        want = (
+            "temperature 1e+308 is too high for the smallest quasiparticle energy "
+            "E = 1.0: coth(E / 2T) is finite only while E / 2T exceeds the limit "
+            "2^-1024 = 5.563e-309, that is T < 8.988466e+307"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^%s$" % re.escape(want)):
+                gaussian.covariance(dec, 1e308)
+
+    def test_temperature_limit_is_exact(self):
+        """E = 1: T = 2^1023 makes E / 2T = 2^-1024 and is refused; the T
+        that makes E / 2T the next float above 2^-1024 gives a finite state,
+        coth near the largest float, without a warning, although 2T
+        overflows there."""
+        dec = bdg.bogoliubov_diagonalize(bdg.assemble_hamiltonian(thermal_blocks()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too high"):
+                gaussian.covariance(dec, 2.0**1023)
+            hottest = 0.5 / np.nextafter(2.0**-1024, 1.0)
+            state = gaussian.covariance(dec, hottest)
+        assert np.isfinite(state.g).all()
+        assert state.mean_occupations()[0] == pytest.approx(hottest)
+
+    def test_tiny_temperature_is_the_ground_state(self):
+        """E / 2T overflows to inf, where coth is exactly 1, as at T = 0."""
+        dec = bdg.bogoliubov_diagonalize(bdg.assemble_hamiltonian(thermal_blocks()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = gaussian.covariance(dec, 1e-320)
+        np.testing.assert_array_equal(tiny.g, gaussian.covariance(dec, 0.0).g)
 
     def test_determinant_phase_message_names_its_limit(self):
         """G = [[0, x], [x, 0]] with x^2 = -2e-8 i keeps C symmetric, but

@@ -268,6 +268,34 @@ class TestGridBudget:
         assert cfg.grid.points == 10**9
 
 
+class TestModeBudget:
+    """m_a + m_ph is checked before any block of that size exists."""
+
+    def test_refused_before_allocation(self):
+        doc = {"mode": "direct_blocks", "m_a": 20000, "m_ph": 0, "temperature": 0.0,
+               "direct_blocks": {}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(model.ConfigError) as info:
+                model.config_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert str(info.value) == "m_a + m_ph = 20000 modes exceeds the limit MAX_MODES = 256"
+
+    def test_limit_is_inclusive(self):
+        """Only the configs are built: no grid or block of this size."""
+        m_a = model.MAX_MODES - 1
+        assert geometry_config(m_a=m_a).m == model.MAX_MODES
+        with pytest.raises(model.ConfigError, match="MAX_MODES"):
+            geometry_config(m_a=m_a + 1)
+
+    def test_constructor_refuses_too(self):
+        with pytest.raises(model.ConfigError, match="MAX_MODES"):
+            model.SystemConfig(mode=model.MODE_GEOMETRY, m_a=0, m_ph=257, temperature=0.0)
+
+
 class TestDirectBlocks:
     def test_missing_blocks_are_zero_filled(self):
         cfg = model.config_from_dict(
@@ -408,6 +436,14 @@ class TestCouplingBlocks:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(blocks, name)[0, 0] = 2.0
 
+    def test_co_rotating_coupling_is_a_read_only_copy(self):
+        given = np.array([[0.3 + 0.1j]])
+        blocks = self.blocks(chi_pha=given)
+        with pytest.raises(ValueError, match="read-only"):
+            blocks.chi_pha[0, 0] = 2.0
+        given[0, 0] = 2.0
+        assert blocks.chi_pha[0, 0] == 0.3 + 0.1j
+
 
 class TestMatrixCoding:
     def test_scalar_forms(self):
@@ -465,6 +501,90 @@ class TestModeBasis:
         )
         with pytest.raises(model.ConfigError, match="geometry_1d"):
             model.build_mode_basis(cfg)
+
+
+BLOCK_NAMES = ("eps_a", "eps_ph", "chi_phph", "chi_pha", "chit_aa", "chit_pha")
+BASIS_NAMES = ("x", "weights", "phi0", "phi_l", "omega0_profile", "omega_nu_profiles")
+SHAPES = [(m_a, m_ph) for m_a in (1, 2, 3, 4) for m_ph in (1, 2)]
+ORDERS = {
+    "growing": SHAPES,
+    "shrinking": SHAPES[::-1],
+    "interleaved": [SHAPES[i] for i in (7, 0, 5, 2, 1, 6, 3, 4)],
+}
+
+
+def shaped_config(m_a, m_ph, **over):
+    cavity = {
+        "delta_nu": [8.0 + i for i in range(m_ph)],
+        "omega_nu": [1.3 + 0.1 * i for i in range(m_ph)],
+        "rabi_mode_amp": [0.9 - 0.2 * i for i in range(m_ph)],
+    }
+    return geometry_config(m_a=m_a, m_ph=m_ph, **{**cavity, **over})
+
+
+def snapshot(cfg):
+    """Shape and bytes of every block and basis array, and the residual."""
+    blocks, basis = model.coupling_blocks(cfg)
+    arrays = [getattr(blocks, n) for n in BLOCK_NAMES] + [getattr(basis, n) for n in BASIS_NAMES]
+    return [(a.shape, a.tobytes()) for a in arrays] + [repr(basis.orthonormality_residual())]
+
+
+def fresh_snapshot(cfg):
+    model._grid.cache_clear()
+    return snapshot(cfg)
+
+
+class TestGridCache:
+    """One grid's mode functions are computed once per process and reused."""
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_cached_equals_fresh(self, order):
+        want = {shape: fresh_snapshot(shaped_config(*shape)) for shape in SHAPES}
+        model._grid.cache_clear()
+        for shape in ORDERS[order]:
+            assert snapshot(shaped_config(*shape)) == want[shape], shape
+
+    def test_grid_arrays_are_read_only(self):
+        basis = model.build_mode_basis(shaped_config(2, 2))
+        for name in ("x", "weights", "phi0", "phi_l"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(basis, name)[0] = 0.0
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                getattr(basis, name).flags.writeable = True
+
+    def test_profiles_are_fresh_per_config(self):
+        cfg = shaped_config(2, 2)
+        first = model.build_mode_basis(cfg)
+        want = [first.omega0_profile.copy(), first.omega_nu_profiles.copy()]
+        first.omega0_profile[:] = 0.0
+        first.omega_nu_profiles[:] = 0.0
+        again = model.build_mode_basis(cfg)
+        np.testing.assert_array_equal(again.omega0_profile, want[0])
+        np.testing.assert_array_equal(again.omega_nu_profiles, want[1])
+
+    def test_one_grid_is_kept(self):
+        default = shaped_config(3, 2)
+        other = shaped_config(3, 2, grid={"points": 4096, "half_length": 9.0})
+        want = fresh_snapshot(default)
+        snapshot(other)
+        assert model._grid.cache_info().currsize == 1
+        assert snapshot(default) == want
+
+    def test_coarse_grid_refused_after_a_fine_one(self):
+        snapshot(shaped_config(4, 2))
+        cfg = geometry_config(grid={"points": 16, "half_length": 20.0})
+        with pytest.raises(model.GridResolutionError, match="orthonormality residual"):
+            model.build_mode_basis(cfg)
+
+    def test_growing_m_a_on_a_coarse_grid_is_refused(self):
+        """On 16 points over [-8, 8] two trap functions pass and three do
+        not; the smaller count still passes after the larger one failed."""
+        grid = {"points": 16, "half_length": 8.0}
+        model._grid.cache_clear()
+        want = snapshot(shaped_config(1, 1, grid=grid))
+        with pytest.raises(model.GridResolutionError, match="orthonormality residual"):
+            model.build_mode_basis(shaped_config(2, 1, grid=grid))
+        assert snapshot(shaped_config(1, 1, grid=grid)) == want
 
 
 class TestCouplingIntegrals:
