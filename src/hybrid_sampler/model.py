@@ -2,10 +2,10 @@
 
 The package models a driven optical cavity coupled to a trapped
 quasi-condensate.  A :class:`SystemConfig` either describes a 1-D toy
-geometry, from which trap eigenfunctions and drive profiles are sampled
-on a grid and integrated into coupling blocks, or carries the coupling
-blocks directly for synthetic studies.  What depends on the grid alone is
-sampled once per process, for the last grid used.  A config checks itself
+geometry, whose coupling blocks are coupling constants times overlaps of
+mode functions sampled on a grid, or carries the coupling blocks directly
+for synthetic studies.  The overlaps are integrated once per process, for
+the last grid used and each mode count.  A config checks itself
 once, when it is built, and is frozen: ``config_from_dict`` only maps a
 JSON document onto the constructors.
 
@@ -52,7 +52,7 @@ _INPUT_SYMMETRY_LIMIT = 1e-6
 _BLOCK_SYMMETRY_LIMIT = 1e-12
 # Largest grid.points * (m_a + m_ph + 2) of a geometry config: about the
 # number of float64 samples build_mode_basis allocates (the grid, its
-# weights, m_a + 1 trap states, the drive and m_ph cavity profiles).
+# weights, m_a + 1 trap states, the drive envelope and m_ph standing waves).
 MAX_GRID_SAMPLES = 2**24
 # Largest m_a + m_ph of a config.  The stages after the blocks build 2M x
 # 2M matrices and factor them: `build` at M = 256 takes about 2.5 s and
@@ -431,22 +431,30 @@ def load_config(text):
 
 @dataclass
 class ModeBasis:
-    """Grid-sampled mode functions of the 1-D toy geometry.
+    """Grid-sampled mode functions of the 1-D toy geometry and their
+    overlap integrals.
 
-    ``phi0`` is the condensate orbital (trap ground state), ``phi_l`` the
-    first ``m_a`` excited trap eigenfunctions, ``omega0_profile`` the
-    classical drive and ``omega_nu_profiles`` the cavity standing waves.
-    ``weights`` are trapezoid quadrature weights on ``x``.  ``x``,
-    ``weights``, ``phi0`` and ``phi_l`` are read-only arrays shared by every
-    basis on the same grid; the two profiles belong to this basis.
+    ``phi0`` is the condensate orbital (trap ground state) and ``phi_l``
+    the first ``m_a`` excited trap eigenfunctions; ``weights`` are
+    trapezoid quadrature weights on ``x``.  With e the drive envelope and
+    c_nu the cavity standing waves, the overlaps are ``gram`` = int phi_l
+    phi_m, ``density`` = int phi_l phi_m phi0^2 and ``drive`` = int phi_l
+    phi_m e^2 (m_a x m_a), ``waves`` = int c_nu c_mu phi0^2 (m_ph x m_ph)
+    and ``cross`` = int c_nu e phi0 phi_l (m_ph x m_a).  ``gram``,
+    ``density``, ``drive`` and ``waves`` are exactly symmetric.  Every
+    array is read-only and shared by every basis on the same grid, the
+    overlaps by those with the same m_a and m_ph too.
     """
 
     x: np.ndarray
     weights: np.ndarray
     phi0: np.ndarray
     phi_l: np.ndarray
-    omega0_profile: np.ndarray
-    omega_nu_profiles: np.ndarray
+    gram: np.ndarray
+    density: np.ndarray
+    drive: np.ndarray
+    waves: np.ndarray
+    cross: np.ndarray
     _residual: float = field(repr=False)
 
     def integrate(self, values):
@@ -479,13 +487,22 @@ def _read_only(arr):
     return arr.view()
 
 
+def _gram(rows, root):
+    """The read-only integrals int rows[i] rows[j] root^2, as S @ S.T with
+    S = rows * root: numpy computes one triangle of that product (BLAS syrk)
+    and mirrors it, so the result is exactly symmetric."""
+    scaled = rows * root
+    return _read_only(scaled @ scaled.T)
+
+
 class _Grid:
     """The read-only arrays of one GridSpec that no other config field
-    changes: the grid, its weights and the drive envelope; the normalized
-    trap functions and the standing waves, grown to the largest count asked
-    for so far; and the orthonormality residual per count.  Each trap row
-    and norm depends only on earlier rows, and each residual is the Gram of
-    exactly the rows asked for, so no value depends on the order of calls.
+    changes: the grid and its weights; the normalized trap functions, grown
+    to the largest count asked for so far; the orthonormality residual per
+    count; and the overlap integrals per (m_a, m_ph).  Each trap row and
+    norm depends only on earlier rows, and each residual and overlap is
+    integrated from exactly the functions asked for, never sliced from a
+    larger one, so no value depends on the order of calls.
     """
 
     def __init__(self, spec):
@@ -495,9 +512,9 @@ class _Grid:
         weights[0] *= 0.5
         weights[-1] *= 0.5
         self.x, self.weights = _read_only(x), _read_only(weights)
-        self.envelope = _read_only(np.exp(-0.5 * x * x))
-        self._trap = self._waves = _read_only(np.empty((0, spec.points)))
+        self._trap = _read_only(np.empty((0, spec.points)))
         self._residuals = {}
+        self._overlaps = {}
 
     def trap(self, count):
         """The first ``count`` trap eigenfunctions, normalized on the grid."""
@@ -512,16 +529,6 @@ class _Grid:
             trap = self._trap = _read_only(funcs / norms[:, None])
         return trap[:count]
 
-    def standing_waves(self, count):
-        """The first ``count`` cavity standing waves: mode nu = i + 1 carries
-        cos((nu + 1) pi x / L), so the first is cos(2 pi x / L)."""
-        waves = self._waves
-        if count > len(waves):
-            x, length = self.x, self.half_length
-            rows = [np.cos((i + 2) * np.pi * x / length) for i in range(count)]
-            waves = self._waves = _read_only(np.array(rows))
-        return waves[:count]
-
     def residual(self, count):
         """Orthonormality residual of the first ``count`` trap functions."""
         if count not in self._residuals:
@@ -530,6 +537,29 @@ class _Grid:
             self._residuals[count] = float(np.max(np.abs(gram - np.eye(count))))
         return self._residuals[count]
 
+    def overlaps(self, m_a, m_ph):
+        """The overlap integrals of :class:`ModeBasis` for m_a excited trap
+        states and m_ph standing waves, keyed by their names."""
+        if (m_a, m_ph) not in self._overlaps:
+            x, w = self.x, self.weights
+            trap = self.trap(m_a + 1)
+            phi0, phi = trap[0], trap[1:]
+            envelope = np.exp(-0.5 * x * x)
+            # Cavity mode nu = i + 1 carries cos((nu + 1) pi x / L), so the
+            # first is cos(2 pi x / L).
+            waves = np.cos(np.arange(2, m_ph + 2)[:, None] * np.pi * x / self.half_length)
+            root_w = np.sqrt(w)
+            # sqrt(w phi0^2): the trap ground state is positive.
+            root_density = root_w * phi0
+            self._overlaps[m_a, m_ph] = {
+                "gram": _gram(phi, root_w),
+                "density": _gram(phi, root_density),
+                "drive": _gram(phi, root_w * envelope),
+                "waves": _gram(waves, root_density),
+                "cross": _read_only((waves * (w * envelope * phi0)) @ phi.T),
+            }
+        return self._overlaps[m_a, m_ph]
+
 
 # One geometry is usually swept over many parameter points, so only the
 # last grid is kept: a second one would double the resident arrays.
@@ -537,10 +567,8 @@ _grid = functools.lru_cache(maxsize=1)(_Grid)
 
 
 def build_mode_basis(cfg):
-    """Sample trap eigenfunctions and drive profiles on the config grid.
-
-    The grid-only arrays come from the process's cached grid; only the
-    drive and cavity profiles are scaled by the config's amplitudes.
+    """The trap eigenfunctions and overlap integrals of the config's grid
+    and mode counts, from the process's cached grid.
 
     Args:
         cfg (SystemConfig): a ``geometry_1d`` configuration
@@ -568,48 +596,39 @@ def build_mode_basis(cfg):
         weights=grid.weights,
         phi0=funcs[0],
         phi_l=funcs[1:],
-        omega0_profile=cfg.rabi_drive_amp * grid.envelope,
-        omega_nu_profiles=cfg.rabi_mode_amp[:, None] * grid.standing_waves(cfg.m_ph),
         _residual=residual,
+        **grid.overlaps(cfg.m_a, cfg.m_ph),
     )
 
 
 def compute_coupling_blocks(basis, cfg):
-    """Integrate the mode basis into coupling blocks.
+    """Scale the basis's overlap integrals into coupling blocks.
 
-    The atomic single-particle operator is the trap Hamiltonian plus the
+    Each block is linear in the config's coupling constants: the drive and
+    cavity Rabi amplitudes (A0, amp), 1/delta_a, g_a_n0, mu and n_ex.  The
+    atomic single-particle operator is the trap Hamiltonian plus the
     drive-induced optical potential, minus the chemical potential, plus
     the Popov mean-field shift.  The basis functions are the trap's own
-    eigenfunctions, so the trap part is exactly diag(l + 1/2); only the
-    remaining potential terms are integrated.  Every sampled function is
-    real, so no conjugate is taken and the co- and counter-rotating
-    photon-atom couplings are one integral.  All paired blocks are
-    explicitly symmetrized before use.
+    eigenfunctions, so the trap part is exactly diag(l + 1/2).  Every
+    sampled function is real, so the co- and counter-rotating photon-atom
+    couplings are one integral.  Scaled from exactly symmetric overlaps,
+    eps_a, chi_phph and chit_aa are exactly symmetric.
     """
-    w = basis.weights
-    phi0 = basis.phi0
-    phi = basis.phi_l
-    om0 = basis.omega0_profile
-    omnu = basis.omega_nu_profiles
-    inv_da = 1.0 / cfg.delta_a
-
-    dens0 = phi0**2
-    chit_aa = cfg.g_a_n0 * (phi * w) @ (phi * dens0).T
-    chi_phph = inv_da * (omnu * (w * dens0)) @ omnu.T
-    chi_pha = inv_da * (omnu * (w * om0 * phi0)) @ phi.T
-
-    potential = om0**2 * inv_da - cfg.mu + 2.0 * cfg.g_a_n0 * (dens0 + cfg.n_ex)
-    trap = np.diag(np.arange(1, cfg.m_a + 1) + 0.5)
-    eps_a = trap + (phi * (w * potential)) @ phi.T
-
-    limit = _INPUT_SYMMETRY_LIMIT
+    g, a0, inv_da, amp = cfg.g_a_n0, cfg.rabi_drive_amp, 1.0 / cfg.delta_a, cfg.rabi_mode_amp
+    chi_pha = a0 * inv_da * amp[:, None] * basis.cross
+    eps_a = (
+        np.diag(np.arange(1, cfg.m_a + 1) + 0.5)
+        + a0**2 * inv_da * basis.drive
+        + (2.0 * g * cfg.n_ex - cfg.mu) * basis.gram
+        + 2.0 * g * basis.density
+    )
     return CouplingBlocks(
-        eps_a=symmetrized(eps_a, limit, "eps_a", hermitian=True, error=ConfigError),
+        eps_a=eps_a,
         eps_ph=np.diag(cfg.omega_nu).astype(complex),
-        chi_phph=symmetrized(chi_phph, limit, "chi_phph", hermitian=True, error=ConfigError),
-        chi_pha=np.asarray(chi_pha, dtype=complex),
-        chit_aa=symmetrized(chit_aa, limit, "chit_aa", error=ConfigError),
-        chit_pha=np.asarray(chi_pha, dtype=complex),
+        chi_phph=inv_da * np.outer(amp, amp) * basis.waves,
+        chi_pha=chi_pha,
+        chit_aa=g * basis.density,
+        chit_pha=chi_pha,
     )
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -504,7 +505,7 @@ class TestModeBasis:
 
 
 BLOCK_NAMES = ("eps_a", "eps_ph", "chi_phph", "chi_pha", "chit_aa", "chit_pha")
-BASIS_NAMES = ("x", "weights", "phi0", "phi_l", "omega0_profile", "omega_nu_profiles")
+BASIS_NAMES = ("x", "weights", "phi0", "phi_l", "gram", "density", "drive", "waves", "cross")
 SHAPES = [(m_a, m_ph) for m_a in (1, 2, 3, 4) for m_ph in (1, 2)]
 ORDERS = {
     "growing": SHAPES,
@@ -545,22 +546,13 @@ class TestGridCache:
             assert snapshot(shaped_config(*shape)) == want[shape], shape
 
     def test_grid_arrays_are_read_only(self):
+        """The grid's arrays and overlaps are shared by every basis on it."""
         basis = model.build_mode_basis(shaped_config(2, 2))
-        for name in ("x", "weights", "phi0", "phi_l"):
+        for name in BASIS_NAMES:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(basis, name)[0] = 0.0
             with pytest.raises(ValueError, match="WRITEABLE"):
                 getattr(basis, name).flags.writeable = True
-
-    def test_profiles_are_fresh_per_config(self):
-        cfg = shaped_config(2, 2)
-        first = model.build_mode_basis(cfg)
-        want = [first.omega0_profile.copy(), first.omega_nu_profiles.copy()]
-        first.omega0_profile[:] = 0.0
-        first.omega_nu_profiles[:] = 0.0
-        again = model.build_mode_basis(cfg)
-        np.testing.assert_array_equal(again.omega0_profile, want[0])
-        np.testing.assert_array_equal(again.omega_nu_profiles, want[1])
 
     def test_one_grid_is_kept(self):
         default = shaped_config(3, 2)
@@ -587,8 +579,73 @@ class TestGridCache:
         assert snapshot(shaped_config(1, 1, grid=grid)) == want
 
 
+def reference_blocks(basis, cfg):
+    """The blocks integrated on the grid for one config, from the drive and
+    cavity profiles scaled by its amplitudes: the route that does not go
+    through the cached overlaps."""
+    w, phi0, phi, x = basis.weights, basis.phi0, basis.phi_l, basis.x
+    inv_da = 1.0 / cfg.delta_a
+    om0 = cfg.rabi_drive_amp * np.exp(-0.5 * x * x)
+    waves = [np.cos((i + 2) * np.pi * x / cfg.grid.half_length) for i in range(cfg.m_ph)]
+    omnu = cfg.rabi_mode_amp[:, None] * np.reshape(waves, (cfg.m_ph, x.size))
+    dens0 = phi0**2
+    potential = om0**2 * inv_da - cfg.mu + 2.0 * cfg.g_a_n0 * (dens0 + cfg.n_ex)
+    chi_pha = inv_da * (omnu * (w * om0 * phi0)) @ phi.T
+    return {
+        "eps_a": np.diag(np.arange(1, cfg.m_a + 1) + 0.5) + (phi * (w * potential)) @ phi.T,
+        "chi_phph": inv_da * (omnu * (w * dens0)) @ omnu.T,
+        "chi_pha": chi_pha,
+        "chit_aa": cfg.g_a_n0 * (phi * w) @ (phi * dens0).T,
+        "chit_pha": chi_pha,
+    }
+
+
+CAVITY_CONFIG = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "configs", "cavity_condensate.json"
+)
+# Edge cases on top of the seeded sweep parameters.
+OVERLAP_CASES = ({}, {"delta_a": -40.0}, {"n_ex": 0.3}, {"rabi_drive_amp": 0.0}, {"g_a_n0": 0.0})
+
+
+def overlap_configs():
+    """cavity_condensate.json, and seeded configs over the ranges the
+    benchmark sweeps, for each shape (with no photon or no atom mode too)
+    and edge case."""
+    with open(CAVITY_CONFIG, encoding="utf-8") as handle:
+        configs = [model.load_config(handle.read())]
+    rng = np.random.default_rng(16)
+    for case in OVERLAP_CASES:
+        for m_a, m_ph in SHAPES + [(3, 0), (0, 2)]:
+            params = {
+                "g_a_n0": 0.05 * rng.uniform(0.7, 1.3),
+                "mu": rng.uniform(0.3, 0.45),
+                "rabi_drive_amp": 1.1 * rng.uniform(0.8, 1.2),
+                "rabi_mode_amp": list(0.9 * rng.uniform(0.8, 1.2, m_ph)),
+            }
+            configs.append(shaped_config(m_a, m_ph, **{**params, **case}))
+    return configs
+
+
 class TestCouplingIntegrals:
     """Coupling blocks against independent quadrature and closed forms."""
+
+    def test_blocks_are_exactly_symmetric(self):
+        """CouplingBlocks symmetrizes what it is given, so the overlaps the
+        blocks are scaled from are checked too."""
+        for cfg in overlap_configs():
+            blocks, basis = model.coupling_blocks(cfg)
+            arrays = [getattr(blocks, n) for n in ("eps_a", "chi_phph", "chit_aa")]
+            arrays += [getattr(basis, n) for n in ("gram", "density", "drive", "waves")]
+            for array in arrays:
+                assert np.array_equal(array, array.T), (cfg.m_a, cfg.m_ph)
+
+    def test_blocks_match_per_config_quadrature(self):
+        """Scaled overlaps and per-config integrals differ in rounding only."""
+        for cfg in overlap_configs():
+            blocks, basis = model.coupling_blocks(cfg)
+            for name, want in reference_blocks(basis, cfg).items():
+                limit = 1e-14 * max(1.0, np.max(np.abs(want), initial=0.0))
+                assert np.all(np.abs(getattr(blocks, name) - want) <= limit), name
 
     def test_zero_drive_decouples_light(self):
         cfg = geometry_config(rabi_drive_amp=0.0)
