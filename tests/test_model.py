@@ -554,6 +554,21 @@ class TestGridCache:
             with pytest.raises(ValueError, match="WRITEABLE"):
                 getattr(basis, name).flags.writeable = True
 
+    def test_profiles_are_fresh_per_config(self):
+        """The amplitude-scaled parts are made per config: another config on
+        the same grid and shape, with other amplitudes, gets other blocks and
+        leaves the shared basis and the first config's blocks as they were."""
+        cfg = shaped_config(2, 2)
+        other = shaped_config(2, 2, rabi_drive_amp=2.0, rabi_mode_amp=[0.3, 0.4], g_a_n0=0.1)
+        want = snapshot(cfg)
+        got = snapshot(other)
+        n = len(BLOCK_NAMES)
+        for name, mine, theirs in zip(BLOCK_NAMES, want[:n], got[:n]):
+            if name != "eps_ph":
+                assert mine != theirs, name
+        assert got[n:] == want[n:]
+        assert snapshot(cfg) == want
+
     def test_one_grid_is_kept(self):
         default = shaped_config(3, 2)
         other = shaped_config(3, 2, grid={"points": 4096, "half_length": 9.0})
