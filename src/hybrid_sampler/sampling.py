@@ -14,10 +14,15 @@ counts r yields all of them at once,
 
 with G(r) = haf(C repeated by r) / sqrt(r!) and rho(n) = G(n, n) /
 sqrt(det(1 + G)) (Miatto & Quesada, Quantum 4, 366 (2020)).  The lattice
-up to a per-mode cutoff reads the diagonal of the box [0, cutoff]^(2M); a
-single outcome n reads the far corner of the box [0, n] x [0, n].  Both
-boxes share one budget, MAX_BOX_ENTRIES.  The module also marginalizes,
-draws reproducible inverse-CDF samples, and checks samples against the
+up to a per-mode cutoff is the diagonal of the box [0, cutoff]^(2M); a
+single outcome n is the far corner of the diagonal of the box [0, n] x
+[0, n].  Only the diagonal's dependency cone is evaluated: a backward
+pass from the diagonal lists the entries it needs at each even level
+|r| (at the budget's edge, a quarter of the box at one mode and a few
+percent at four to six), and a plan memoised per box shape fills them
+level by level.  Both boxes share one budget, MAX_BOX_ENTRIES, which
+counts every entry of the box.  The module also marginalizes, draws
+reproducible inverse-CDF samples, and checks samples against the
 enumerated distribution; the chi-square p-value comes from a closed
 form in ``math``, so the module needs numpy and the standard library only.
 
@@ -32,10 +37,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .gaussian import CountsVector
+from .model import _read_only
 
 __all__ = [
     "ImaginaryResidualError",
@@ -57,8 +64,14 @@ __all__ = [
     "CUTOFF_FACTOR",
 ]
 
-# Largest recurrence box, in entries: 256 MB of complex128.
+# Largest recurrence box, in entries: 256 MB of complex128 if it were
+# stored whole.  Only the outcome diagonal's dependency cone is stored.
 MAX_BOX_ENTRIES = 2 ** 24
+# Bytes of recurrence plans kept in memory, and the entries of one level a
+# plan takes at once.
+_PLAN_MEMO_BYTES = 2 ** 23
+_PLAN_CHUNK = 2 ** 15
+_plans = {}
 # Most draws one sample call makes: a `hybrid-sampler sample` run holds
 # about 24 B per draw besides its lattice, so at the limit the draws
 # take under about 0.15 GB.
@@ -232,39 +245,151 @@ def _as_counts(counts, m_a, m_ph):
     return vec
 
 
-def _hermite_box(c, extents):
-    """G(r) = haf(C repeated by r) / sqrt(r!) for every r below ``extents``.
+class _Plan(NamedTuple):
+    """Where the outcome diagonal of one box shape reads the recurrence.
 
-    Axes are filled in order.  An entry whose last nonzero index lies on
-    axis i follows from the recurrence along axis i, which reads only
-    entries whose later axes are zero as well and so are already filled.
-    The arithmetic of each entry depends on r alone, not on the extents,
-    so every box containing r yields the same G(r) bit for bit.
+    The store holds a zero in slot 0, then the diagonal's dependency cone
+    level by level from the top, and G(0) = 1 in its last slot.  Piece
+    (start, code, slot, root) fills root.size slots from ``start``: entry
+    e sums weights[code[:, e]] * store[slot[:, e]] over the rows in order
+    and divides by root[e].  ``diagonal`` is the slot of each outcome in
+    lattice order.  Every array is read-only.
     """
-    g = np.zeros(extents, dtype=complex)
-    g.flat[0] = 1.0
-    roots = [np.sqrt(np.arange(1, e)) for e in extents]
-    for i, extent in enumerate(extents):
-        head = (slice(None),) * i
-        # The trailing Ellipsis keeps a fully indexed slice a writable view.
-        tail = (0,) * (len(extents) - i - 1) + (Ellipsis,)
-        # C_ij sqrt(r_j), laid along axis j of a slice over axes 0..i-1.
-        weights = [
-            (c[i, j] * roots[j]).reshape((-1,) + (1,) * (i - 1 - j))
-            for j in range(i)
+
+    size: int
+    diagonal: np.ndarray
+    pieces: tuple
+    nbytes: int
+
+
+def _unique(values):
+    """The sorted distinct values of an int array.  np.unique would import
+    numpy.ma, about 21 ms a process, and the default int64 quicksort maps
+    about 0.25 MB more of SIMD code into the process than the stable sort."""
+    values = np.sort(values, kind="stable")
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.greater(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _terms(flat, box, strides, depth):
+    """Weight codes, neighbour box indices and k of the box entries ``flat``.
+
+    An entry r with last nonzero axis i and k = r_i follows from the
+    recurrence along axis i: C_ii sqrt(k - 1) G(r - 2 e_i) when k >= 2,
+    then C_ij sqrt(r_j) G(r - e_i - e_j) for each j < i with r_j >= 1.
+    Row 0 holds the first term and row 1 + j the term of axis j; where an
+    entry has no such term its code is 0 and its neighbour -1, and rows
+    with no term at all are dropped.  Code (i * D + j) * depth + t + 1
+    stands for C_ij sqrt(t).
+    """
+    d = len(box)
+    coords = flat // strides[:, None] % box[:, None]
+    pivot = np.zeros(flat.size, dtype=np.int64)
+    for axis in range(1, d):
+        pivot[coords[axis] > 0] = axis
+    k = coords[pivot, np.arange(flat.size)]
+    axes = np.arange(d - 1)[:, None]
+    valid = np.concatenate([(k >= 2)[None], (axes < pivot) & (coords[:-1] > 0)])
+    rows = valid.any(axis=1)
+    code = np.concatenate([
+        (pivot * (d + 1) * depth + k)[None],
+        (pivot * d + axes) * depth + coords[:-1] + 1,
+    ])
+    step = flat - strides[pivot]
+    neighbour = np.concatenate([(step - strides[pivot])[None], step - strides[:-1, None]])
+    code[~valid] = 0
+    neighbour[~valid] = -1
+    return code[rows].astype(np.int32), neighbour[rows], k
+
+
+def _build_plan(extents):
+    """The plan of the box ``extents`` x ``extents``, by a backward pass.
+
+    From the top level down, the entries needed at a level (its outcomes
+    and the neighbours of the level above) list their terms, whose
+    neighbours are the entries needed one level down.  A level is taken
+    _PLAN_CHUNK entries at a time, and no array spans the box.
+    """
+    m = len(extents)
+    shape = extents * 2
+    box = np.array(shape, dtype=np.int64)
+    strides = np.array([math.prod(shape[i + 1:]) for i in range(2 * m)], dtype=np.int64)
+    depth = max(extents)
+    lattice = np.indices(extents).reshape(m, -1)
+    levels = lattice.sum(axis=0)
+    # The box index of each outcome (n, n), in lattice order.
+    targets = (strides[:m] + strides[m:]) @ lattice
+    diagonal = np.empty(targets.size, dtype=np.intp)
+    pieces = []
+    top = sum(extents) - m
+    start, here = 1, targets[levels == top]
+    for level in range(top, 0, -1):
+        outcomes = levels == level
+        diagonal[outcomes] = start + np.searchsorted(here, targets[outcomes])
+        chunks = [
+            _terms(here[lo:lo + _PLAN_CHUNK], box, strides, depth)
+            for lo in range(0, here.size, _PLAN_CHUNK)
         ]
-        for k in range(1, extent):
-            out = g[head + (k,) + tail]
-            if k >= 2:
-                out += (c[i, i] * roots[i][k - 2]) * g[head + (k - 2,) + tail]
-            prev = g[head + (k - 1,) + tail]
-            for j, weight in enumerate(weights):
-                lead = (slice(None),) * j
-                out[lead + (slice(1, None),)] += (
-                    weight * prev[lead + (slice(None, -1),)]
-                )
-            out /= math.sqrt(k)
-    return g
+        below = _unique(np.concatenate(
+            [targets[levels == level - 1]]
+            + [neighbour[neighbour >= 0] for _, neighbour, _ in chunks]
+        ))
+        lower = start + here.size
+        for lo, (code, neighbour, k) in zip(range(start, lower, _PLAN_CHUNK), chunks):
+            slot = (lower + np.searchsorted(below, neighbour)).astype(np.int32)
+            slot[neighbour < 0] = 0
+            root = np.sqrt(k.astype(float))
+            pieces.append((lo, _read_only(code), _read_only(slot), _read_only(root)))
+        start, here = lower, below
+    diagonal[0] = start
+    nbytes = diagonal.nbytes + sum(arr.nbytes for piece in pieces for arr in piece[1:])
+    return _Plan(start + 1, _read_only(diagonal), tuple(reversed(pieces)), nbytes)
+
+
+def _plan(extents):
+    """The plan of the box ``extents`` x ``extents``, memoised when small.
+
+    A plan of at most _PLAN_MEMO_BYTES / 8 is kept, and the least recently
+    used go first once the kept ones exceed _PLAN_MEMO_BYTES.
+    """
+    plan = _plans.pop(extents, None) or _build_plan(extents)
+    if plan.nbytes <= _PLAN_MEMO_BYTES // 8:
+        _plans[extents] = plan
+        while sum(kept.nbytes for kept in _plans.values()) > _PLAN_MEMO_BYTES:
+            del _plans[next(iter(_plans))]
+    return plan
+
+
+def _diagonal(c, extents):
+    """G(n, n) = haf(C repeated by (n, n)) / n! for every n below ``extents``.
+
+    Only the diagonal's dependency cone is evaluated, level by level: one
+    multiply makes the table C_ij sqrt(t); each piece of a level is one
+    gather of weights, one of neighbours and one multiply, then a sum of
+    its term rows in order from +0, as in a box filled in place (so a -0
+    first term gives +0), and a division by sqrt(k).  Each entry's
+    arithmetic is thus that of the axis-wise recurrence and depends on r
+    alone: every box containing r gives G(r) bit for bit.  Odd levels are
+    zero for any C and are never touched.
+    """
+    plan = _plan(extents)
+    d, depth = len(c), max(extents)
+    # Weight 0 is the zero of padding terms.
+    weights = np.zeros(d * d * depth + 1, dtype=complex)
+    np.multiply(c[:, :, None], np.sqrt(np.arange(depth)), out=weights[1:].reshape(d, d, depth))
+    store = np.empty(plan.size, dtype=complex)
+    store[0], store[-1] = 0.0, 1.0
+    for start, code, slot, root in plan.pieces:
+        terms = weights.take(code)
+        terms *= store.take(slot)
+        values = store[start:start + root.size]
+        np.add(terms[0], 0.0, out=values)
+        for term in terms[1:]:
+            values += term
+        values /= root
+    return store[plan.diagonal].reshape(extents)
 
 
 def _probabilities(state, values):
@@ -305,27 +430,29 @@ def _outcome_at(values, flat_index, m_a):
 def _lattice(state, extents, quantity, remedy):
     """Probabilities of every outcome below ``extents``, and the clamped count.
 
-    The outcomes are the diagonal of the recurrence box with ``extents``
-    for both the row and the column counts; the box is refused above
-    MAX_BOX_ENTRIES before it is allocated.
+    The outcomes are the diagonal G(n, n) of the recurrence box with
+    ``extents`` for both the row and the column counts, evaluated by
+    ``_diagonal`` over the diagonal's dependency cone only.  The budget
+    still counts the whole box: one above MAX_BOX_ENTRIES entries is
+    refused before any plan or array exists.
     """
     side = math.prod(extents)
     if side * side > MAX_BOX_ENTRIES:
         raise ValueError(
             "lattice budget exceeded: %s = %d box entries is above the "
-            "limit %d; %s" % (quantity, side * side, MAX_BOX_ENTRIES, remedy)
+            "limit MAX_BOX_ENTRIES = %d; %s"
+            % (quantity, side * side, MAX_BOX_ENTRIES, remedy)
         )
-    box = _hermite_box(state.c, extents * 2)
-    diagonal = box.reshape(side, side).diagonal().reshape(extents)
-    return _probabilities(state, diagonal)
+    return _probabilities(state, _diagonal(state.c, extents))
 
 
 def outcome_probability(state, counts):
     """Probability of one joint count outcome.
 
-    Runs the recurrence on the box [0, n] x [0, n] and reads the far
-    corner of its diagonal, so the result equals the enumerated lattice's
-    entry for n bit for bit.
+    Evaluates the diagonal of the box [0, n] x [0, n], over its
+    dependency cone only, and reads its far corner.  An entry's
+    arithmetic depends on its counts alone, so the result equals the
+    enumerated lattice's entry for n bit for bit.
 
     Args:
         state (GaussianState): state built by the gaussian module
@@ -350,8 +477,8 @@ def outcome_probability(state, counts):
 def enumerate_distribution(state, cutoff):
     """Evaluate every outcome with all counts <= cutoff.
 
-    One recurrence fills the box [0, cutoff]^(2M); the outcomes are its
-    diagonal.
+    The outcomes are the diagonal of the recurrence box [0, cutoff]^(2M),
+    of which only the diagonal's dependency cone is evaluated.
 
     Args:
         state (GaussianState): state built by the gaussian module

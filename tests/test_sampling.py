@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import chi2
 
 from hybrid_sampler import bdg, gaussian, model, pipeline, sampling
@@ -51,6 +52,48 @@ def peak_traced_bytes(func):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def axis_wise_box(c, extents):
+    """G(r) = haf(C repeated by r) / sqrt(r!) for every r below ``extents``,
+    the whole box filled one axis at a time: the engine that the
+    dependency-cone plan replaced, kept as its oracle.
+
+    An entry whose last nonzero index lies on axis i follows from the
+    recurrence along axis i, which reads only entries whose later axes are
+    zero as well and so are already filled.
+    """
+    g = np.zeros(extents, dtype=complex)
+    g.flat[0] = 1.0
+    roots = [np.sqrt(np.arange(1, e)) for e in extents]
+    for i, extent in enumerate(extents):
+        head = (slice(None),) * i
+        # The trailing Ellipsis keeps a fully indexed slice a writable view.
+        tail = (0,) * (len(extents) - i - 1) + (Ellipsis,)
+        # C_ij sqrt(r_j), laid along axis j of a slice over axes 0..i-1.
+        weights = [
+            (c[i, j] * roots[j]).reshape((-1,) + (1,) * (i - 1 - j))
+            for j in range(i)
+        ]
+        for k in range(1, extent):
+            out = g[head + (k,) + tail]
+            if k >= 2:
+                out += (c[i, i] * roots[i][k - 2]) * g[head + (k - 2,) + tail]
+            prev = g[head + (k - 1,) + tail]
+            for j, weight in enumerate(weights):
+                lead = (slice(None),) * j
+                out[lead + (slice(1, None),)] += (
+                    weight * prev[lead + (slice(None, -1),)]
+                )
+            out /= math.sqrt(k)
+    return g
+
+
+def box_diagonal(c, extents):
+    """The diagonal G(n, n), n < extents, of the oracle's whole box."""
+    side = math.prod(extents)
+    box = axis_wise_box(c, tuple(extents) * 2)
+    return box.reshape(side, side).diagonal().reshape(extents)
 
 
 def squeezed_pmf(count, r):
@@ -118,15 +161,21 @@ class TestOutcomeProbability:
         assert peak_traced_bytes(attempt) < 2**20
 
     def test_equals_lattice_entry_bit_for_bit(self):
-        """Both read the same recurrence values, from different boxes."""
-        for seed in (8, 9, 10):
-            _, _, dec = stable_instance(np.random.default_rng(seed), 2, 1)
+        """Both read the same recurrence values, from different boxes.  An
+        outcome with zero counts has a box with extent-1 axes, leading ones
+        included, and every outcome of each lattice is checked."""
+        for seed, m_a, m_ph, cutoff in ((8, 2, 1, 3), (9, 2, 1, 3), (10, 2, 1, 3),
+                                        (11, 2, 2, 2), (12, 1, 3, 2)):
+            _, _, dec = stable_instance(np.random.default_rng(seed), m_a, m_ph)
             state = gaussian.covariance(dec, 0.3)
-            dist = sampling.enumerate_distribution(state, 3)
-            assert dist.probabilities.size == 64
+            dist = sampling.enumerate_distribution(state, cutoff)
+            assert dist.probabilities.size == (cutoff + 1) ** (m_a + m_ph)
+            with_zeros = 0
             for counts in dist.outcomes():
                 got = sampling.outcome_probability(state, counts)
                 assert type(got) is float and got == dist.probability(counts)
+                with_zeros += 0 in counts.key()
+            assert with_zeros == dist.probabilities.size - cutoff ** (m_a + m_ph)
 
 
 class TestEnumerate:
@@ -222,6 +271,102 @@ class TestEnumerate:
         state = make_state(thermal_blocks(1.0), T_HALF)
         dist = sampling.enumerate_distribution(state, 3)
         assert dist.fingerprint == state.fingerprint()
+
+
+def _symmetric(parts):
+    """A complex symmetric matrix from the upper triangles of two real ones,
+    copied without arithmetic, so that zero entries keep their sign."""
+    mat = np.empty(parts[0].shape, dtype=complex)
+    mat.real, mat.imag = parts
+    upper = np.triu(np.ones(mat.shape, dtype=bool))
+    return np.where(upper, mat, mat.T)
+
+
+class TestDiagonalEngine:
+    """The dependency-cone engine against the axis-wise box it replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        data=st.lists(st.integers(1, 6), min_size=1, max_size=4)
+        .filter(lambda extents: math.prod(extents) <= 96)
+        .flatmap(lambda extents: st.tuples(
+            st.just(tuple(extents)),
+            arrays(np.float64, (2, 2 * len(extents), 2 * len(extents)),
+                   elements=st.sampled_from([0.0, -0.0, 0.25, -1.0]) | st.floats(-1.0, 1.0)),
+        ))
+    )
+    def test_equals_the_axis_wise_box(self, data):
+        """Random complex symmetric C with zero entries, extents 1-6 on 2-8
+        box axes.  With every extent >= 2, as on every lattice, each
+        diagonal entry is bit-identical to the oracle's.  With an extent of
+        1 the oracle's slices over the earlier axes can hold one element in
+        several dimensions, and numpy multiplies such a broadcast pair
+        without the fused multiply-add it uses for every other complex
+        product on SIMD builds, so the oracle's last bit can move there:
+        those boxes are held to 1e-15 relative instead."""
+        extents, parts = data
+        c = _symmetric(parts)
+        got = sampling._diagonal(c, extents)
+        want = box_diagonal(c, extents)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if min(extents) >= 2:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_equals_the_axis_wise_box_on_lattices(self):
+        """Every job shape of the lattice and sweep workloads, each extent
+        >= 2, with dense random C: bit-identical, signed zeros included."""
+        rng = np.random.default_rng(17)
+        for extents in [(3,) * 4, (4,) * 3, (6,) * 2, (13,), (2,) * 6, (6, 6, 6)]:
+            d = 2 * len(extents)
+            c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            c = 0.3 * (c + c.T)
+            assert sampling._diagonal(c, extents).tobytes() == box_diagonal(c, extents).tobytes()
+
+    def test_plan_arrays_are_read_only(self):
+        plan = sampling._plan((3, 4, 2))
+        arrays_of_plan = [plan.diagonal] + [a for piece in plan.pieces for a in piece[1:]]
+        assert len(arrays_of_plan) == 1 + 3 * len(plan.pieces) > 3
+        for arr in arrays_of_plan:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+
+    def test_memo_stays_under_its_byte_bound(self):
+        """200 random shapes, many with plans near the per-plan limit of
+        _PLAN_MEMO_BYTES / 8: what is kept never exceeds the bound, the
+        most recent plan is kept, and a plan above the limit is not."""
+        rng = random.Random(5)
+        bound = sampling._PLAN_MEMO_BYTES
+        sizes = []
+        for _ in range(200):
+            m = rng.randint(1, 4)
+            extents = tuple(rng.randint(1, 12) for _ in range(m))
+            while math.prod(extents) ** 2 > 2 ** 17:
+                extents = extents[:-1]
+            plan = sampling._plan(extents)
+            sizes.append(plan.nbytes)
+            kept = sum(p.nbytes for p in sampling._plans.values())
+            assert kept <= bound
+            assert sampling._plans.get(extents) is (plan if plan.nbytes <= bound // 8 else None)
+        assert sum(sizes) > 2 * bound
+        big = sampling._plan((11, 11, 11))
+        assert big.nbytes > bound // 8 and (11, 11, 11) not in sampling._plans
+
+    def test_cold_and_warm_calls_agree(self):
+        """A plan built for the call and one read from the memo give the
+        same bytes."""
+        _, _, dec = stable_instance(np.random.default_rng(3), 2, 1)
+        c = gaussian.covariance(dec, 0.3).c
+        for extents in [(4, 4, 4), (1, 3, 2), (2, 1, 1)]:
+            sampling._plans.pop(extents, None)
+            cold = sampling._diagonal(c, extents)
+            assert extents in sampling._plans
+            warm = sampling._diagonal(c, extents)
+            assert cold.tobytes() == warm.tobytes()
 
 
 class TestHafnianOracle:
